@@ -21,13 +21,13 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__
 from .errors import DiqpvError, EmptyRegionError, InfeasiblePlanError
-from .estimation import ml_fit_quantum, regularize
+from .estimation import ml_fit_quantum
 from .geometry import (
     TimingGeometry,
     quantum_advantage,
@@ -40,6 +40,8 @@ from .protocol import (
     ProtocolParams,
     achievable_delta_log2,
     achievable_rth,
+    calibrate,
+    first_calibration,
     plan_entanglement,
     required_trials,
     segment_and_analyze,
@@ -48,18 +50,14 @@ from .reference import calibration_counts, timing_geometry
 from .simulator import (
     AdversaryModel,
     HonestProverModel,
-    adversary_distribution,
     honest_distribution,
     sample_trials,
     stream_key,
 )
-from .testfactor import (
-    assemble_robust,
-    build_wlr,
-    gain_variance,
-    lambda_max,
-    testfactor_to_json,
-)
+from .testfactor import gain_variance, testfactor_to_json
+# Unused here since calibrate() took over; kept bound because the
+# benchmark's tracer (perfbench/spans.py) patches these names in this module.
+from .testfactor import build_wlr, lambda_max  # noqa: F401
 from .trialdata import (
     CountsTable,
     JointSettingsDistribution,
@@ -153,7 +151,7 @@ def _resolve_model(args):
         model = AdversaryModel.ns3_point(np.asarray(spec["mu"], dtype=np.float64))
     else:
         raise ValueError(f"unknown model kind {kind!r}")
-    return spec, adversary_distribution(model)
+    return spec, model.behavior
 
 
 def _settings_from_config(args) -> JointSettingsDistribution:
@@ -197,52 +195,48 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _protocol_params(args, n: int) -> ProtocolParams:
-    r_th = args.rth
-    if r_th is None:
-        r_th = 8e-6 if args.mode == "entanglement" else 0.0
-    return ProtocolParams(
-        delta=2.0 ** (-args.delta_log2),
-        epsilon=args.epsilon,
-        n=n,
-        mode=args.mode,
-        r_th=r_th,
-        trial_rate=TRIAL_RATE_HZ,
-    )
+def _rth(args) -> float:
+    """--rth, defaulting to 8e-6 in entanglement mode and 0 in basic mode."""
+    if args.rth is not None:
+        return args.rth
+    return 8e-6 if args.mode == "entanglement" else 0.0
 
 
-def _auto_trials(sources, args, nu, mismatch_d: float) -> int:
-    """Size instances from the first calibration window, like a plan would."""
-    error_free = [s for s in sources if not s.error]
-    if len(error_free) < 10:
-        raise DiqpvError(f"need 10 error-free calibration files, have {len(error_free)}")
-    counts = CountsTable.zeros()
-    for src in error_free[:10]:
-        counts = counts + src.counts()
-    sigma = ml_fit_quantum(counts)
-    sigma3 = regularize(sigma, mismatch_d)
-    wlr = build_wlr(sigma, nu)
-    tf = assemble_robust(wlr, lambda_max(wlr, nu), nu)
-    delta = 2.0 ** (-args.delta_log2)
-    if args.mode == "entanglement":
-        r_th = args.rth if args.rth is not None else 8e-6
-        plan = plan_entanglement(tf, sigma3, r_th, delta, args.epsilon, nu=nu)
-        return plan.n
-    g, v = gain_variance(tf, sigma3, nu)
-    return required_trials(g, v, delta, args.epsilon)
+def _planned_trials(cal, params: ProtocolParams, nu) -> int:
+    """Instance size planned from a calibration at the operating point."""
+    if params.mode == "entanglement":
+        return plan_entanglement(
+            cal.factor, cal.sigma3, params.r_th, params.delta, params.epsilon, nu=nu
+        ).n
+    g, v = gain_variance(cal.factor, cal.sigma3, nu)
+    return required_trials(g, v, params.delta, params.epsilon)
 
 
 def cmd_analyze(args) -> int:
+    n = args.trials_per_instance
+    # Validate the operating point before any file is read; a planned n
+    # replaces the placeholder below.
+    params = ProtocolParams(
+        delta=2.0 ** (-args.delta_log2),
+        epsilon=args.epsilon,
+        n=1 if n is None else n,
+        mode=args.mode,
+        r_th=_rth(args),
+    )
     names = sorted(f for f in os.listdir(args.data_dir) if f.endswith(".qpvt"))
     if not names:
         raise DiqpvError(f"no .qpvt files in {args.data_dir}")
     sources = [FileTrialSource(os.path.join(args.data_dir, f)) for f in names]
     nu = JointSettingsDistribution.uniform()
-    n = args.trials_per_instance
+    first = None
     if n is None:
-        n = _auto_trials(sources, args, nu, args.mismatch_d)
-    params = _protocol_params(args, n)
-    instances = segment_and_analyze(sources, params, nu=nu, mismatch_d=args.mismatch_d)
+        # The first window sizes the instances and then scores the first one.
+        first = first_calibration(sources, nu, args.mismatch_d)
+        n = _planned_trials(first, params, nu)
+        params = replace(params, n=n)
+    instances = segment_and_analyze(
+        sources, params, nu=nu, mismatch_d=args.mismatch_d, first=first
+    )
 
     os.makedirs(args.out, exist_ok=True)
     rows = []
@@ -293,14 +287,11 @@ def cmd_analyze(args) -> int:
 def cmd_plan(args) -> int:
     counts = _counts_from_arg(args.counts)
     nu = JointSettingsDistribution.uniform()
-    sigma = ml_fit_quantum(counts)
-    sigma3 = regularize(sigma, args.mismatch_d)
-    wlr = build_wlr(sigma, nu)
-    lam_star = lambda_max(wlr, nu)
-    tf = assemble_robust(wlr, lam_star, nu)
+    cal = calibrate(counts, nu, args.mismatch_d)
+    tf, sigma3 = cal.factor, cal.sigma3
     g, v = gain_variance(tf, sigma3, nu)
     delta = 2.0 ** (-args.delta_log2)
-    r_th = args.rth if args.rth is not None else (8e-6 if args.mode == "entanglement" else 0.0)
+    r_th = _rth(args)
 
     os.makedirs(args.out, exist_ok=True)
     report = _provenance(args)
@@ -308,7 +299,7 @@ def cmd_plan(args) -> int:
         "total_trials": counts.total,
         "gain_bits": g,
         "variance_bits": v,
-        "mismatch_factor": lam_star,
+        "mismatch_factor": tf.mismatch,
     }
     try:
         if args.mode == "entanglement":
@@ -432,16 +423,13 @@ def cmd_geometry(args) -> int:
 def cmd_build_tf(args) -> int:
     counts = _counts_from_arg(args.counts)
     nu = JointSettingsDistribution.uniform()
-    sigma = ml_fit_quantum(counts)
-    sigma3 = regularize(sigma, args.mismatch_d)
-    wlr = build_wlr(sigma, nu)
-    lam_star = lambda_max(wlr, nu)
-    tf = assemble_robust(wlr, lam_star, nu, meta={"calibration_trials": counts.total})
-    g, v = gain_variance(tf, sigma3, nu)
+    cal = calibrate(counts, nu, args.mismatch_d, meta={"calibration_trials": counts.total})
+    tf = cal.factor
+    g, v = gain_variance(tf, cal.sigma3, nu)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(testfactor_to_json(tf))
         fh.write("\n")
-    print(f"mismatch factor {lam_star:.10f}, gain {g:.6e} bits/trial, "
+    print(f"mismatch factor {tf.mismatch:.10f}, gain {g:.6e} bits/trial, "
           f"variance {v:.6e}; wrote {args.out}")
     return 0
 

@@ -426,38 +426,29 @@ def quantum_advantage(
         weights = 2.0 * math.pi * rho
         box_measure = (xhi - xlo) * rho_max
 
-    attrs = {"la": la, "lb": lb, "sum": la + lb}
     ranges = {
         "la_ra": (float(alpha.min()), float(alpha.max())),
         "lb_rb": (float(beta.min()), float(beta.max())),
         "sum_ab": (float(g_ab.min()), float(g_ab.max())),
         "sum_ba": (float(g_ba.min()), float(g_ba.max())),
     }
+    dist_sum = la + lb
     counter = _BandCounter(
-        attrs={"la_ra": la, "lb_rb": lb, "sum_ab": attrs["sum"], "sum_ba": attrs["sum"]},
+        attrs={"la_ra": la, "lb_rb": lb, "sum_ab": dist_sum, "sum_ba": dist_sum},
         weights=weights,
         ranges=ranges,
     )
-
-    def counts_for(constraints):
-        return counter.mask_counts(constraints)
-
-    def run_masks():
-        q = counts_for([("la_ra", alpha), ("lb_rb", beta),
-                        ("sum_ab", g_ab), ("sum_ba", g_ba)])
-        a_ = counts_for([("la_ra", alpha), ("sum_ba", g_ba)])
-        b_ = counts_for([("lb_rb", beta), ("sum_ab", g_ab)])
-        return q, a_, b_
-
+    # Constraint lists of the quantum region, lens A and lens B.
+    regions = (
+        [("la_ra", alpha), ("lb_rb", beta), ("sum_ab", g_ab), ("sum_ba", g_ba)],
+        [("la_ra", alpha), ("sum_ba", g_ba)],
+        [("lb_rb", beta), ("sum_ab", g_ab)],
+    )
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=min(threads, 3)) as pool:
-            fq = pool.submit(counts_for, [("la_ra", alpha), ("lb_rb", beta),
-                                          ("sum_ab", g_ab), ("sum_ba", g_ba)])
-            fa = pool.submit(counts_for, [("la_ra", alpha), ("sum_ba", g_ba)])
-            fb = pool.submit(counts_for, [("lb_rb", beta), ("sum_ab", g_ab)])
-            q_cnt, a_cnt, b_cnt = fq.result(), fa.result(), fb.result()
+            q_cnt, a_cnt, b_cnt = pool.map(counter.mask_counts, regions)
     else:
-        q_cnt, a_cnt, b_cnt = run_masks()
+        q_cnt, a_cnt, b_cnt = map(counter.mask_counts, regions)
 
     scale = box_measure / mc_inner
     q_size = q_cnt * scale

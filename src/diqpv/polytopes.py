@@ -261,16 +261,6 @@ def max_linear(c, poly: HPolytope, verify: bool = True) -> tuple[float, np.ndarr
     return float(value), res.x
 
 
-def lr_membership(sigma, tol: float = 1e-9) -> bool:
-    """Whether sigma lies in the convex hull of the deterministic strategies.
-
-    Solves for the mixture minimizing the sup-norm distance to sigma;
-    membership means that distance is at most tol.
-    """
-    dist = lr_distance(sigma)
-    return dist <= tol
-
-
 def lr_distance(sigma) -> float:
     """Sup-norm distance from sigma to the local deterministic hull."""
     target = np.asarray(sigma, dtype=np.float64).reshape(16)

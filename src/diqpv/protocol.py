@@ -31,7 +31,13 @@ from .errors import (
     InfeasiblePlanError,
     UselessFactorError,
 )
-from .estimation import ConditionalDistribution3, cell_probabilities, ml_fit_quantum, regularize
+from .estimation import (
+    ConditionalDistribution2,
+    ConditionalDistribution3,
+    cell_probabilities,
+    ml_fit_quantum,
+    regularize,
+)
 from .testfactor import (
     TestFactor,
     assemble_robust,
@@ -62,7 +68,6 @@ class ProtocolParams:
     n: int
     mode: str = "basic"
     r_th: float = 0.0
-    trial_rate: float = 250_000.0
 
     def __post_init__(self):
         if self.mode not in ("basic", "entanglement"):
@@ -75,8 +80,6 @@ class ProtocolParams:
             raise ValueError("r_th must be nonnegative")
         if self.mode == "basic" and self.r_th != 0.0:
             raise ValueError("r_th applies to entanglement mode only")
-        if self.trial_rate <= 0:
-            raise ValueError("trial rate must be positive")
 
     @property
     def files_per_instance(self) -> int:
@@ -102,20 +105,6 @@ class InstanceResult:
     trials_padded: int
 
 
-def neumaier_sum(values) -> float:
-    """Compensated summation; exact order-independent to ~1 ulp of the sum."""
-    total = 0.0
-    comp = 0.0
-    for x in values:
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    return total + comp
-
-
 def run_instance_from_counts(
     counts: CountsTable, trials_real: int, tf: TestFactor, params: ProtocolParams
 ) -> InstanceResult:
@@ -138,7 +127,7 @@ def run_instance_from_counts(
             f"factor value 0 on observed cell code {bad}; e-value degenerates"
         )
     terms = flat_counts[observed] * np.log(w[observed])
-    total = neumaier_sum(terms.tolist())
+    total = math.fsum(terms)
     log2_p = total / LN2
     threshold = params.log_threshold
     r_lb = None
@@ -445,6 +434,65 @@ class FileTrialSource:
 
 
 @dataclass(frozen=True)
+class Calibration:
+    """Calibration fit of one counts table and the factor built from it.
+
+    sigma is the matched-sector ML fit, sigma3 its regularized full-record
+    behavior (for gain and variance), and factor the certified test factor.
+    """
+
+    sigma: ConditionalDistribution2
+    sigma3: ConditionalDistribution3
+    factor: TestFactor
+
+
+def calibrate(counts: CountsTable, nu, mismatch_d: float, meta: dict | None = None) -> Calibration:
+    """ML fit of calibration counts, then the certified robust test factor.
+
+    The matched sector takes the prediction-based-ratio factor fitted to the
+    ML behavior, the mismatch constant the largest certifiable value; meta
+    is stored on the factor.
+    """
+    sigma = ml_fit_quantum(counts)
+    sigma3 = regularize(sigma, mismatch_d)
+    wlr = build_wlr(sigma, nu)
+    factor = assemble_robust(wlr, lambda_max(wlr, nu), nu, meta=meta)
+    return Calibration(sigma, sigma3, factor)
+
+
+def _first_instance_start(sources) -> int:
+    """Index of the first data file: the one after the tenth error-free file."""
+    error_free = [j for j, s in enumerate(sources) if not s.error]
+    if len(error_free) < 10:
+        raise DegenerateDataError(
+            f"need 10 error-free calibration files, have {len(error_free)}"
+        )
+    return error_free[9] + 1
+
+
+def _window(sources, pos: int) -> list:
+    """The calibration window of position pos: the ten most recent
+    error-free sources before it."""
+    return [s for s in sources[:pos] if not s.error][-10:]
+
+
+def _calibrate_window(window, nu, mismatch_d: float) -> Calibration:
+    counts = CountsTable.zeros()
+    for src in window:
+        counts = counts + src.counts()
+    return calibrate(counts, nu, mismatch_d, meta={"calibration": [s.label for s in window]})
+
+
+def first_calibration(sources, nu, mismatch_d: float = 2e-6) -> Calibration:
+    """Calibration of the first instance's window, e.g. to size instances.
+
+    Pass it to segment_and_analyze as first so that window is fitted once.
+    """
+    sources = list(sources)
+    return _calibrate_window(_window(sources, _first_instance_start(sources)), nu, mismatch_d)
+
+
+@dataclass(frozen=True)
 class AnalyzedInstance:
     """One instance with its provenance and the factor it was scored by."""
 
@@ -461,46 +509,37 @@ def segment_and_analyze(
     params: ProtocolParams,
     nu=None,
     mismatch_d: float = 2e-6,
+    first: Calibration | None = None,
 ) -> list[AnalyzedInstance]:
     """Walk a run of trial files: calibrate, build factors, score instances.
 
     sources is a sequence of trial sources (see ArrayTrialSource) in run
     order.  Needs at least ten error-free files before the first instance
     can start; raises DegenerateDataError otherwise.  Error-flagged files
-    are never used for calibration but are consumed by instances.
+    are never used for calibration but are consumed by instances.  first,
+    if given, is first_calibration of the same sources, nu and mismatch_d;
+    the first instance uses it instead of fitting its window again.
     """
     sources = list(sources)
     from .trialdata import JointSettingsDistribution
 
     weights = JointSettingsDistribution.uniform() if nu is None else nu
-    error_free = [j for j, s in enumerate(sources) if not s.error]
-    if len(error_free) < 10:
-        raise DegenerateDataError(
-            f"need 10 error-free calibration files, have {len(error_free)}"
-        )
-    start = error_free[9] + 1
     fpi = params.files_per_instance
     out: list[AnalyzedInstance] = []
-    pos = start
+    pos = _first_instance_start(sources)
     index = 0
     while pos < len(sources):
         block = sources[pos : pos + fpi]
-        calib_idx = [j for j in range(pos) if not sources[j].error][-10:]
-        calib_counts = CountsTable.zeros()
-        for j in calib_idx:
-            calib_counts = calib_counts + sources[j].counts()
-        sigma = ml_fit_quantum(calib_counts)
-        sigma3 = regularize(sigma, mismatch_d)
-        wlr = build_wlr(sigma, weights)
-        lam_star = lambda_max(wlr, weights)
-        tf = assemble_robust(
-            wlr, lam_star, weights,
-            meta={"calibration": [sources[j].label for j in calib_idx]},
-        )
+        window = _window(sources, pos)
+        if index == 0 and first is not None:
+            cal = first
+        else:
+            cal = _calibrate_window(window, weights, mismatch_d)
+        tf = cal.factor
         lam_mix = None
         if params.mode == "entanglement":
             plan = plan_entanglement(
-                tf, sigma3, params.r_th, params.delta, params.epsilon, nu=weights
+                tf, cal.sigma3, params.r_th, params.delta, params.epsilon, nu=weights
             )
             tf = plan.factor
             lam_mix = plan.lam_mix
@@ -521,7 +560,7 @@ def segment_and_analyze(
             AnalyzedInstance(
                 index=index,
                 result=result,
-                calibration_labels=tuple(sources[j].label for j in calib_idx),
+                calibration_labels=tuple(s.label for s in window),
                 data_labels=tuple(s.label for s in block),
                 factor=tf,
                 lam_mix=lam_mix,

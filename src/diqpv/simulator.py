@@ -171,11 +171,6 @@ def _matched_to_full(sigma2: np.ndarray) -> ConditionalDistribution3:
     return ConditionalDistribution3(full)
 
 
-def adversary_distribution(model: AdversaryModel) -> ConditionalDistribution3:
-    """Trial behavior on the slices where the challenge bits agree."""
-    return model.behavior
-
-
 def sample_trials(sigma3: ConditionalDistribution3, nu, count: int, key: int) -> np.ndarray:
     """Draw count i.i.d. trials as packed uint8 codes.
 

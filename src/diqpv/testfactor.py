@@ -116,18 +116,6 @@ class TestFactor:
         return float(min(self.matched.min(), self.mismatch))
 
 
-@dataclass(frozen=True)
-class EntanglementBudget:
-    """Operating point of the entanglement-bounding variant."""
-
-    xi: float
-    r_th: float
-
-    def __post_init__(self):
-        if self.xi < 0 or self.r_th < 0:
-            raise ValueError("xi and r_th must be nonnegative")
-
-
 def certify(matched, mismatch: float, nu, verify: bool = True):
     """LP maximum of the expected factor over the no-signaling adversaries.
 

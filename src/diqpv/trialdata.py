@@ -111,49 +111,9 @@ def write_trials(path, records, detector_error: bool = False) -> None:
         fh.write(payload.tobytes())
 
 
-def read_trials(path) -> tuple[np.ndarray, bool]:
-    """Read a trial file; returns (records (n, 5) uint8, detector_error)."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
-        magic, version, flags, count = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        payload = np.frombuffer(fh.read(count), dtype=np.uint8)
-    if payload.size != count:
-        raise ValueError(f"{path}: expected {count} trials, found {payload.size}")
-    return unpack_codes(payload), bool(flags & FLAG_DETECTOR_ERROR)
-
-
-def read_trial_codes(path, limit: int | None = None) -> tuple[np.ndarray, bool]:
-    """Like read_trials but returns packed uint8 codes (cheaper for bulk
-    aggregation; code layout matches CountsTable.flat order).  limit reads
-    only the first trials, which stays cheap for prefix truncation."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
-        magic, version, flags, count = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        want = count if limit is None else min(int(limit), count)
-        payload = np.frombuffer(fh.read(want), dtype=np.uint8)
-    if payload.size != want:
-        raise ValueError(f"{path}: expected {want} trials, found {payload.size}")
-    if payload.size and payload.max() > 31:
-        raise ValueError(f"{path}: payload byte has nonzero high bits")
-    return payload, bool(flags & FLAG_DETECTOR_ERROR)
-
-
-def read_trial_header(path) -> tuple[int, bool]:
-    """Return (trial count, detector_error) without reading the payload."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
+def _read_header(fh, path) -> tuple[int, bool]:
+    """Parse and check a trial file header; returns (count, detector_error)."""
+    head = fh.read(_HEADER.size)
     if len(head) < _HEADER.size:
         raise ValueError(f"{path}: truncated header")
     magic, version, flags, count = _HEADER.unpack(head)
@@ -162,6 +122,33 @@ def read_trial_header(path) -> tuple[int, bool]:
     if version != VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
     return int(count), bool(flags & FLAG_DETECTOR_ERROR)
+
+
+def read_trials(path) -> tuple[np.ndarray, bool]:
+    """Read a trial file; returns (records (n, 5) uint8, detector_error)."""
+    codes, error = read_trial_codes(path)
+    return unpack_codes(codes), error
+
+
+def read_trial_codes(path, limit: int | None = None) -> tuple[np.ndarray, bool]:
+    """Like read_trials but returns packed uint8 codes (cheaper for bulk
+    aggregation; code layout matches CountsTable.flat order).  limit reads
+    only the first trials, which stays cheap for prefix truncation."""
+    with open(path, "rb") as fh:
+        count, error = _read_header(fh, path)
+        want = count if limit is None else min(int(limit), count)
+        payload = np.frombuffer(fh.read(want), dtype=np.uint8)
+    if payload.size != want:
+        raise ValueError(f"{path}: expected {want} trials, found {payload.size}")
+    if payload.size and payload.max() > 31:
+        raise ValueError(f"{path}: payload byte has nonzero high bits")
+    return payload, error
+
+
+def read_trial_header(path) -> tuple[int, bool]:
+    """Return (trial count, detector_error) without reading the payload."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
 
 
 @dataclass(frozen=True)

@@ -298,6 +298,50 @@ def test_analyze_local_data_exit_codes(tmp_path, capsys):
                  "--trials-per-instance", "2500"]) == 2
 
 
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Count ML calibration fits, wherever a diqpv module looks the fit up."""
+    import diqpv.estimation
+
+    original = diqpv.estimation.ml_fit_quantum
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "diqpv" and getattr(module, "ml_fit_quantum", None) is original:
+            monkeypatch.setattr(module, "ml_fit_quantum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["basic", "entanglement"])
+def test_analyze_fits_each_window_once(ideal_dir, tmp_path, fit_calls, mode):
+    # Without --trials-per-instance the first window also sizes the
+    # instances; it must not be fitted a second time to score them.
+    rc = main(["analyze", str(ideal_dir), "--out", str(tmp_path / "rep"),
+               "--mode", mode, "--delta-log2", "4"])
+    assert rc == 0
+    instances = _read_json(tmp_path / "rep" / "report.json")["instances"]
+    assert len(instances) == {"basic": 4, "entanglement": 2}[mode]
+    assert len(fit_calls) == len(instances)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--mode", "basic", "--rth", "1e-5"], "r_th applies to entanglement mode only"),
+    (["--delta-log2", "0"], "need 0 < delta < epsilon <= 1"),
+])
+def test_analyze_rejects_operating_point_before_calibrating(
+    ideal_dir, tmp_path, capsys, fit_calls, flags, message
+):
+    rc = main(["analyze", str(ideal_dir), "--out", str(tmp_path / "rep")] + flags)
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert fit_calls == []
+    assert not (tmp_path / "rep").exists()
+
+
 def test_plan_basic_golden_operating_point(tmp_path):
     out = tmp_path / "plan"
     rc = main(["plan", "--out", str(out), "--points", "10", "--max-minutes", "2"])

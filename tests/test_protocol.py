@@ -16,7 +16,6 @@ from diqpv.protocol import (
     achievable_delta_log2,
     achievable_rth,
     n_margin,
-    neumaier_sum,
     p_succ,
     plan_entanglement,
     r_lower_bound,
@@ -29,7 +28,7 @@ from diqpv.protocol import (
 from diqpv.estimation import cell_probabilities
 from diqpv.testfactor import TestFactor as CertifiedFactor
 from diqpv.testfactor import certify, gain_variance, wbar_min
-from diqpv.trialdata import aggregate_counts, write_trials
+from diqpv.trialdata import CountsTable, aggregate_counts, write_trials
 
 from oracles import kahan_sum
 
@@ -110,19 +109,30 @@ def test_unity_factor_never_passes(nu_uniform):
     assert not res.passed
 
 
-def test_neumaier_matches_compensated_oracle():
+def test_instance_sum_matches_compensated_oracle(golden_factor):
     rng = np.random.Generator(np.random.Philox(key=51))
-    # Typical per-trial log factors: small magnitudes, heavy cancellation.
-    values = rng.normal(0.0, 0.1, 50_000)
-    ours = neumaier_sum(values.tolist())
-    assert ours == pytest.approx(kahan_sum(values.tolist()), abs=1e-10)
-    assert ours == pytest.approx(math.fsum(values), abs=1e-10)
-    # Neumaier also survives swamping spikes that defeat plain Kahan.
-    spiky = np.concatenate([rng.normal(0, 1e-9, 1000), [1e12], [-1e12]])
-    rng.shuffle(spiky)
-    assert neumaier_sum(spiky.tolist()) == pytest.approx(
-        math.fsum(spiky), abs=1e-12
-    )
+    logw = np.log(golden_factor.full_table().reshape(32))
+
+    def score(flat):
+        n = int(flat.sum())
+        counts = CountsTable(flat.reshape(2, 2, 2, 2, 2))
+        params = ProtocolParams(delta=0.5, epsilon=0.9, n=n)
+        res = run_instance_from_counts(counts, n, golden_factor, params)
+        return res.sum_log_w, (flat * logw).tolist()
+
+    # Typical counts: per-cell terms of both signs that largely cancel.
+    ours, terms = score(rng.integers(0, 2000, 32))
+    assert ours == pytest.approx(kahan_sum(terms), abs=1e-10)
+    assert ours == pytest.approx(math.fsum(terms), abs=1e-10)
+    # Two swamping cells (about -/+1e12) cancel to O(1); the small cells
+    # around them fall below their ulp, which a plain float sum drops.
+    spiky = np.zeros(32, dtype=np.int64)
+    spiky[[0, 4, 16, 20]] = rng.integers(1, 1000, 4)
+    spiky[11] = 10**13
+    spiky[3] = round(10**13 * logw[11] / -logw[3])
+    ours, terms = score(spiky)
+    assert sum(terms) != math.fsum(terms)
+    assert ours == pytest.approx(math.fsum(terms), abs=1e-12)
 
 
 def test_r_lower_bound_inverts_threshold():

@@ -11,7 +11,6 @@ from diqpv.simulator import (
     DEFAULT_AMP_B,
     AdversaryModel,
     HonestProverModel,
-    adversary_distribution,
     challenge_to_setting,
     honest_distribution,
     honest_matched,
@@ -108,7 +107,7 @@ def test_honest_behavior_is_nonlocal():
 def test_adversary_constructors():
     vtx = AdversaryModel.lr_vertex(5)
     assert vtx.kind == "lr-vertex-5"
-    table = adversary_distribution(vtx).table
+    table = vtx.behavior.table
     # Both stations echo the deterministic prover outcome.
     assert (table[:, :, :, 0, 1] == 0).all() and (table[:, :, :, 1, 0] == 0).all()
     matched = np.stack([table[:, :, :, z, z] for z in range(2)], axis=-1)
@@ -162,7 +161,7 @@ def test_sampler_chi_square(nu_uniform):
 
 
 def test_sampler_point_mass_and_empty(nu_uniform):
-    sigma3 = adversary_distribution(AdversaryModel.lr_vertex(0))
+    sigma3 = AdversaryModel.lr_vertex(0).behavior
     point = np.array([[1.0, 0.0], [0.0, 0.0]])
     codes = sample_trials(sigma3, point, 100, key=1)
     assert codes.shape == (100,)
@@ -197,7 +196,7 @@ def test_certified_factor_bounds_sampled_adversary(golden_factor, nu_uniform):
     strategy, here the worst-case one."""
     _, mu = certify(golden_factor.matched, golden_factor.mismatch, golden_factor.nu)
     adv = AdversaryModel.ns3_point(np.clip(mu, 0.0, None))
-    sigma3 = adversary_distribution(adv)
+    sigma3 = adv.behavior
     n = 1_000_000
     codes = sample_trials(sigma3, nu_uniform, n, key=stream_key(13, 0))
     counts = aggregate_counts(codes).table.reshape(32)

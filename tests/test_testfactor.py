@@ -6,6 +6,7 @@ import pytest
 from diqpv.errors import CertificationError, UselessFactorError
 from diqpv.estimation import ConditionalDistribution2, regularize
 from diqpv.polytopes import lr_vertices, ns3_polytope
+from diqpv.protocol import calibrate
 from diqpv.testfactor import (
     MatchedFactor,
     assemble_robust,
@@ -34,11 +35,18 @@ from golden import (
 from oracles import tsirelson_factor_oracle, tsirelson_point
 
 
-def test_golden_factor_matches_reference(golden_wlr, golden_lambda, golden_factor):
+def test_golden_factor_matches_reference(
+    golden_counts, golden_sigma3, golden_wlr, golden_lambda, golden_factor, nu_uniform
+):
     assert golden_wlr.lr_violating
     assert golden_lambda == pytest.approx(REFERENCE_MISMATCH, abs=1e-4)
     assert np.abs(golden_factor.matched - factor_array()).max() <= 1e-4
     assert golden_factor.mismatch == golden_lambda
+    # The pipeline function reproduces the hand-chained fixtures exactly.
+    cal = calibrate(golden_counts, nu_uniform, 2e-6)
+    assert np.array_equal(cal.factor.matched, golden_factor.matched)
+    assert cal.factor.mismatch == golden_factor.mismatch
+    assert np.array_equal(cal.sigma3.table, golden_sigma3.table)
 
 
 def test_golden_factor_certified(golden_factor, nu_uniform):
