@@ -202,16 +202,6 @@ def _rth(args) -> float:
     return 8e-6 if args.mode == "entanglement" else 0.0
 
 
-def _planned_trials(cal, params: ProtocolParams, nu) -> int:
-    """Instance size planned from a calibration at the operating point."""
-    if params.mode == "entanglement":
-        return plan_entanglement(
-            cal.factor, cal.sigma3, params.r_th, params.delta, params.epsilon, nu=nu
-        ).n
-    g, v = gain_variance(cal.factor, cal.sigma3, nu)
-    return required_trials(g, v, params.delta, params.epsilon)
-
-
 def cmd_analyze(args) -> int:
     n = args.trials_per_instance
     # Validate the operating point before any file is read; a planned n
@@ -228,14 +218,23 @@ def cmd_analyze(args) -> int:
         raise DiqpvError(f"no .qpvt files in {args.data_dir}")
     sources = [FileTrialSource(os.path.join(args.data_dir, f)) for f in names]
     nu = JointSettingsDistribution.uniform()
-    first = None
+    first = first_plan = None
     if n is None:
-        # The first window sizes the instances and then scores the first one.
+        # The first window sizes the instances and then scores the first
+        # one, so its calibration and plan are handed on, not redone.
         first = first_calibration(sources, nu, args.mismatch_d)
-        n = _planned_trials(first, params, nu)
+        if params.mode == "entanglement":
+            first_plan = plan_entanglement(
+                first.factor, first.sigma3, params.r_th, params.delta, params.epsilon, nu=nu
+            )
+            n = first_plan.n
+        else:
+            g, v = gain_variance(first.factor, first.sigma3, nu)
+            n = required_trials(g, v, params.delta, params.epsilon)
         params = replace(params, n=n)
     instances = segment_and_analyze(
-        sources, params, nu=nu, mismatch_d=args.mismatch_d, first=first
+        sources, params, nu=nu, mismatch_d=args.mismatch_d,
+        first=first, first_plan=first_plan,
     )
 
     os.makedirs(args.out, exist_ok=True)

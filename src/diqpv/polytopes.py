@@ -8,9 +8,11 @@ b, bp held by the two adversary stations.
 
 The polytopes are kept in H-form (equalities, inequalities, box bounds) and
 queried through linear programming; no vertex catalogs are enumerated at
-runtime.  Every optimization is solved twice, by dual simplex and by
-interior point, and the two optima must agree to 1e-9 relative; this is the
-weak-duality cross-check for each reported value.
+runtime.  Every maximum (max_linear) is solved twice, by dual simplex and
+by interior point, and the two optima must agree to 1e-9 relative; this is
+the weak-duality cross-check for each reported value.  The largest
+admissible shift of an objective (max_shift_within) is one dual simplex
+solve; its callers certify the result with max_linear.
 """
 
 from __future__ import annotations
@@ -218,6 +220,12 @@ def pr_box(alpha: int = 0, beta: int = 0, gamma: int = 0) -> np.ndarray:
     return out
 
 
+_TIGHT = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
+
+
 def max_linear(c, poly: HPolytope, verify: bool = True) -> tuple[float, np.ndarray]:
     """Maximize c . x over poly; returns (optimum, maximizer).
 
@@ -236,18 +244,14 @@ def max_linear(c, poly: HPolytope, verify: bool = True) -> tuple[float, np.ndarr
         b_ub=poly.b_ub if poly.a_ub.size else None,
         bounds=(0.0, 1.0),
     )
-    tight = {
-        "primal_feasibility_tolerance": 1e-10,
-        "dual_feasibility_tolerance": 1e-10,
-    }
-    res = linprog(method="highs-ds", options=tight, **kwargs)
+    res = linprog(method="highs-ds", options=_TIGHT, **kwargs)
     if res.status != 0:
         raise LpStructureError(f"{poly.name}: LP status {res.status} ({res.message})")
     value = -res.fun
     if verify:
         res2 = linprog(
             method="highs-ipm",
-            options={**tight, "ipm_optimality_tolerance": 1e-12},
+            options={**_TIGHT, "ipm_optimality_tolerance": 1e-12},
             **kwargs,
         )
         if res2.status != 0:
@@ -259,6 +263,44 @@ def max_linear(c, poly: HPolytope, verify: bool = True) -> tuple[float, np.ndarr
                 f"{poly.name}: optima disagree ({value!r} vs {-res2.fun!r})"
             )
     return float(value), res.x
+
+
+def max_shift_within(c0, c1, poly: HPolytope, bound: float, t_max: float) -> float | None:
+    """Largest t in [0, t_max] with max over poly of (c0 + t c1) . x <= bound.
+
+    One LP over the dual of max_linear's program.  A dual point (y, z, u)
+    with A_eq^T y + A_ub^T z + u >= c0 + t c1, z >= 0, u >= 0 bounds the
+    primal maximum by b_eq . y + b_ub . z + sum u (weak duality), and
+    strong duality makes that bound tight; so t is admissible exactly when
+    some dual point keeps the bound <= bound, and the LP maximizes t over
+    (t, y, z, u) jointly.  Returns None when no t in range is admissible.
+    """
+    c0 = np.asarray(c0, dtype=np.float64).reshape(-1)
+    c1 = np.asarray(c1, dtype=np.float64).reshape(-1)
+    if c0.shape != (poly.dim,) or c1.shape != (poly.dim,):
+        raise ValueError(f"objectives must have {poly.dim} entries")
+    rows = np.vstack([poly.a_eq, poly.a_ub])
+    m, n_eq, dim = rows.shape[0], poly.a_eq.shape[0], poly.dim
+    # Variables: row duals (y free, z >= 0), box duals u >= 0, then t.
+    a_ub = np.zeros((dim + 1, m + dim + 1))
+    a_ub[:dim, :m] = -rows.T
+    a_ub[:dim, m : m + dim] = -np.eye(dim)
+    a_ub[:dim, -1] = c1
+    a_ub[dim, :m] = np.concatenate([poly.b_eq, poly.b_ub])
+    a_ub[dim, m : m + dim] = 1.0
+    b_ub = np.concatenate([-c0, [bound]])
+    objective = np.zeros(m + dim + 1)
+    objective[-1] = -1.0
+    bounds = [(None, None)] * n_eq + [(0.0, None)] * (m - n_eq + dim) + [(0.0, t_max)]
+    res = linprog(
+        objective, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs-ds",
+        options=_TIGHT,
+    )
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise LpStructureError(f"{poly.name}: dual LP status {res.status} ({res.message})")
+    return float(res.x[-1])
 
 
 def lr_distance(sigma) -> float:

@@ -510,6 +510,7 @@ def segment_and_analyze(
     nu=None,
     mismatch_d: float = 2e-6,
     first: Calibration | None = None,
+    first_plan: EntanglementPlan | None = None,
 ) -> list[AnalyzedInstance]:
     """Walk a run of trial files: calibrate, build factors, score instances.
 
@@ -519,6 +520,9 @@ def segment_and_analyze(
     are never used for calibration but are consumed by instances.  first,
     if given, is first_calibration of the same sources, nu and mismatch_d;
     the first instance uses it instead of fitting its window again.
+    first_plan, if given, is plan_entanglement of first's factor at params'
+    r_th, delta and epsilon; the first instance uses it instead of planning
+    again.
     """
     sources = list(sources)
     from .trialdata import JointSettingsDistribution
@@ -538,9 +542,12 @@ def segment_and_analyze(
         tf = cal.factor
         lam_mix = None
         if params.mode == "entanglement":
-            plan = plan_entanglement(
-                tf, cal.sigma3, params.r_th, params.delta, params.epsilon, nu=weights
-            )
+            if index == 0 and first_plan is not None:
+                plan = first_plan
+            else:
+                plan = plan_entanglement(
+                    tf, cal.sigma3, params.r_th, params.delta, params.epsilon, nu=weights
+                )
             tf = plan.factor
             lam_mix = plan.lam_mix
         counts = CountsTable.zeros()

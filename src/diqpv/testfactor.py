@@ -12,8 +12,9 @@ outcome only, and all mismatch cells share one constant.
 
 Construction pipeline: a matched-sector factor is fitted against the
 local-deterministic strategies by maximizing the expected log factor
-(prediction-based-ratio form), the mismatch constant is pushed to the
-largest certifiable value by bisection over the LP, and the assembled
+(prediction-based-ratio form), the mismatch constant is the largest
+certifiable value, read from one LP over the dual of the certification
+LP (the expected factor is affine in the constant), and the assembled
 factor can then be rescaled, mixed toward unity, or discounted for
 entanglement accounting, each transform preserving certification.
 """
@@ -34,7 +35,13 @@ from .estimation import (
     ConditionalDistribution3,
     cell_probabilities,
 )
-from .polytopes import lr_distance, lr_vertices, max_linear, ns3_polytope
+from .polytopes import (
+    lr_distance,
+    lr_vertices,
+    max_linear,
+    max_shift_within,
+    ns3_polytope,
+)
 from .trialdata import settings_weights
 
 _NS3 = ns3_polytope()
@@ -123,14 +130,23 @@ def certify(matched, mismatch: float, nu, verify: bool = True):
     only the slices where the two challenge bits agree; the polytope
     constraints cover all input combinations.
     """
-    nu = settings_weights(nu)
+    c = _expected_factor_objective(matched, mismatch, settings_weights(nu))
+    value, mu = max_linear(c, _NS3, verify=verify)
+    return value, mu.reshape(2, 2, 2, 2, 2, 2)
+
+
+def _expected_factor_objective(matched, mismatch: float, nu) -> np.ndarray:
+    """Expected factor as a linear objective over the 64 NS3 variables.
+
+    Only the slices where the two challenge bits agree carry weight; the
+    objective is linear in (matched, mismatch).
+    """
     matched = np.asarray(matched, dtype=np.float64)
     c = np.zeros((2, 2, 2, 2, 2, 2))
     for ma, b, oa, za, zb in product(range(2), repeat=5):
         w = matched[ma, b, oa, za] if za == zb else mismatch
         c[ma, b, b, oa, za, zb] = nu[ma, b] * w
-    value, mu = max_linear(c.reshape(64), _NS3, verify=verify)
-    return value, mu.reshape(2, 2, 2, 2, 2, 2)
+    return c.reshape(64)
 
 
 def _vertex_constraint_rows(nu) -> np.ndarray:
@@ -186,7 +202,7 @@ def _pin_free_cells(table, support, rows, nu) -> np.ndarray:
 
     Zero maximizes the certifiable mismatch constant; if setting the free
     cells to 1 keeps every strategy constraint satisfied and the constant
-    unchanged (to the bisection tolerance), prefer 1.
+    unchanged (within 1e-9), prefer 1.  Each constant is one dual LP.
     """
     raised = table.copy()
     raised[~support] = 1.0
@@ -198,42 +214,37 @@ def _pin_free_cells(table, support, rows, nu) -> np.ndarray:
     return table
 
 
-def lambda_max(wlr: MatchedFactor, nu, tol: float = 1e-9) -> float:
+def lambda_max(wlr: MatchedFactor, nu) -> float:
     """Largest certifiable mismatch constant for a matched factor."""
-    return lambda_max_table(wlr.table, nu, tol)
+    return lambda_max_table(wlr.table, nu)
 
 
-def lambda_max_table(table: np.ndarray, nu, tol: float = 1e-9) -> float:
-    """Bisection for the largest lambda with adversarial expectation <= 1.
+def lambda_max_table(table: np.ndarray, nu) -> float:
+    """Largest lambda with adversarial expectation <= 1, from one dual LP.
 
-    The expectation is nondecreasing in lambda and at least lambda itself
-    (an all-mismatch behavior is allowed), so [0, 10] brackets the root;
-    bisection runs to absolute tolerance tol with one LP per step.  A
-    table polished onto a strategy facet makes the LP read 1 plus a few
-    ulp, so the comparison carries a slack well below CERT_SLACK.
+    The expected factor is c0 + lambda c1 (c0 the matched part, c1 the
+    mismatch part), so the largest certifiable lambda in [0, 10] is one LP
+    over the dual of certify's program (polytopes.max_shift_within).  The
+    expectation is at least lambda itself (an all-mismatch behavior is
+    allowed), so 10 never binds.  Raises CertificationError when the
+    matched table alone is not certifiable.
     """
-    matched = np.asarray(table, dtype=np.float64)
     nu = settings_weights(nu)
-
-    def exceeds(lam: float) -> bool:
-        value, _ = certify(matched, lam, nu)
-        return value > 1.0 + 1e-9
-
-    lo, hi = 0.0, 10.0
-    if exceeds(lo):
+    lam = max_shift_within(
+        _expected_factor_objective(table, 0.0, nu),
+        _expected_factor_objective(np.zeros((2, 2, 2, 2)), 1.0, nu),
+        _NS3,
+        bound=1.0,
+        t_max=10.0,
+    )
+    if lam is None:
         raise CertificationError(
             "matched factor alone is not certifiable; no valid mismatch constant"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if exceeds(mid):
-            hi = mid
-        else:
-            lo = mid
     # The all-mismatch behavior gives Exp(W) >= lambda, so no constant
-    # above 1 is ever truly certifiable; the comparison slack must not
-    # leak past that bound (it would fabricate gain for a unit factor).
-    return min(lo, 1.0)
+    # above 1 is ever truly certifiable; solver tolerance must not leak
+    # past that bound (it would fabricate gain for a unit factor).
+    return min(lam, 1.0)
 
 
 def assemble_robust(wlr: MatchedFactor, lam: float, nu, meta: dict | None = None) -> TestFactor:

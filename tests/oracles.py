@@ -2,8 +2,9 @@
 
 Everything here is written from first principles against the package:
 explicit two-qubit projectors instead of amplitude shortcuts, exhaustive
-vertex catalogs instead of H-representations, compensated summation by
-the textbook per-term recurrence, closed-form lengths instead of Monte
+vertex catalogs instead of H-representations, bisection over the primal
+certification LP instead of its dual, compensated summation by the
+textbook per-term recurrence, closed-form lengths instead of Monte
 Carlo.  Tests freeze these as the definition of correct.
 """
 
@@ -156,6 +157,44 @@ def tsirelson_factor_oracle():
                     table[x, y, oa, op] = w_win if (oa + op) % 2 == x * y else w_lose
     gain = p * math.log(w_win) + (1.0 - p) * math.log(w_lose)
     return table, gain
+
+
+# Mismatch constant by bisection over the primal certification LP
+
+
+def lambda_max_bisection(table, nu, tol=1e-9):
+    """Largest lambda with adversarial expectation <= 1, by bisection.
+
+    The expectation is nondecreasing in lambda and at least lambda itself
+    (an all-mismatch behavior is allowed), so [0, 10] brackets the root;
+    bisection runs to absolute tolerance tol with one certify LP per step.
+    A table polished onto a strategy facet makes the LP read 1 plus a few
+    ulp, so the comparison carries a 1e-9 slack.  The result is capped
+    at 1, which the all-mismatch behavior makes the true ceiling.
+    """
+    from diqpv.errors import CertificationError
+    from diqpv.testfactor import certify
+    from diqpv.trialdata import settings_weights
+
+    matched = np.asarray(table, dtype=np.float64)
+    nu = settings_weights(nu)
+
+    def exceeds(lam):
+        value, _ = certify(matched, lam, nu)
+        return value > 1.0 + 1e-9
+
+    lo, hi = 0.0, 10.0
+    if exceeds(lo):
+        raise CertificationError(
+            "matched factor alone is not certifiable; no valid mismatch constant"
+        )
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if exceeds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return min(lo, 1.0)
 
 
 # Compensated summation, textbook recurrence

@@ -298,22 +298,31 @@ def test_analyze_local_data_exit_codes(tmp_path, capsys):
                  "--trials-per-instance", "2500"]) == 2
 
 
-@pytest.fixture
-def fit_calls(monkeypatch):
-    """Count ML calibration fits, wherever a diqpv module looks the fit up."""
-    import diqpv.estimation
-
-    original = diqpv.estimation.ml_fit_quantum
+def _count_calls(monkeypatch, module_name, name):
+    """Count calls of a diqpv function at every diqpv module binding of it."""
+    original = getattr(sys.modules[module_name], name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "diqpv" and getattr(module, "ml_fit_quantum", None) is original:
-            monkeypatch.setattr(module, "ml_fit_quantum", counted)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "diqpv" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Count ML calibration fits, wherever a diqpv module looks the fit up."""
+    return _count_calls(monkeypatch, "diqpv.estimation", "ml_fit_quantum")
+
+
+@pytest.fixture
+def plan_calls(monkeypatch):
+    """Count entanglement plans, wherever a diqpv module looks the plan up."""
+    return _count_calls(monkeypatch, "diqpv.protocol", "plan_entanglement")
 
 
 @pytest.mark.parametrize("mode", ["basic", "entanglement"])
@@ -326,6 +335,17 @@ def test_analyze_fits_each_window_once(ideal_dir, tmp_path, fit_calls, mode):
     instances = _read_json(tmp_path / "rep" / "report.json")["instances"]
     assert len(instances) == {"basic": 4, "entanglement": 2}[mode]
     assert len(fit_calls) == len(instances)
+
+
+def test_analyze_plans_each_window_once(ideal_dir, tmp_path, plan_calls):
+    # The first window's plan sizes the instances and then scores the first
+    # one; it must not be planned a second time.
+    rc = main(["analyze", str(ideal_dir), "--out", str(tmp_path / "rep"),
+               "--mode", "entanglement", "--delta-log2", "4"])
+    assert rc == 0
+    instances = _read_json(tmp_path / "rep" / "report.json")["instances"]
+    assert len(instances) == 2
+    assert len(plan_calls) == len(instances)
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import diqpv.polytopes
 from diqpv.errors import CertificationError, UselessFactorError
-from diqpv.estimation import ConditionalDistribution2, regularize
-from diqpv.polytopes import lr_vertices, ns3_polytope
+from diqpv.estimation import ConditionalDistribution2, ml_fit_quantum, regularize
+from diqpv.polytopes import lr_vertices, ns3_polytope, pr_box, quantum_set
 from diqpv.protocol import calibrate
 from diqpv.testfactor import (
     MatchedFactor,
@@ -24,6 +25,7 @@ from diqpv.testfactor import (
 from diqpv.testfactor import TestFactor as CertifiedFactor
 from diqpv.testfactor import testfactor_from_json as factor_from_json
 from diqpv.testfactor import testfactor_to_json as factor_to_json
+from diqpv.trialdata import CountsTable
 
 from golden import (
     REFERENCE_GAIN_BITS,
@@ -32,7 +34,7 @@ from golden import (
     REFERENCE_WBAR_MIN,
     factor_array,
 )
-from oracles import tsirelson_factor_oracle, tsirelson_point
+from oracles import lambda_max_bisection, tsirelson_factor_oracle, tsirelson_point
 
 
 def test_golden_factor_matches_reference(
@@ -93,6 +95,52 @@ def test_lambda_monotone_under_downscaling(golden_wlr, golden_lambda, nu_uniform
 def test_uncertifiable_matched_table_rejected(nu_uniform):
     with pytest.raises(CertificationError):
         lambda_max_table(np.full((2, 2, 2, 2), 2.0), nu_uniform)
+
+
+def test_lambda_max_matches_bisection_oracle(golden_counts, golden_wlr, nu_uniform):
+    rng = np.random.Generator(np.random.Philox(key=606))
+    tables = [golden_wlr.table]
+    for _ in range(10):
+        jitter = np.exp(rng.normal(0.0, 0.05, size=golden_counts.table.shape))
+        pert = CountsTable(rng.poisson(golden_counts.table * jitter).astype(np.float64))
+        tables.append(build_wlr(ml_fit_quantum(pert), nu_uniform).table)
+    for table in tables:
+        lam = lambda_max_table(table, nu_uniform)
+        assert lam == pytest.approx(lambda_max_bisection(table, nu_uniform), abs=1e-8)
+        # Not above the facet, and maximal unless capped.
+        assert certify(table, lam, nu_uniform)[0] <= 1.0 + 1e-12
+        if lam < 1.0:
+            assert certify(table, lam + 1e-7, nu_uniform)[0] > 1.0
+
+
+def test_lambda_max_is_one_lp(golden_wlr, nu_uniform, monkeypatch):
+    calls = []
+    original = diqpv.polytopes.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(diqpv.polytopes, "linprog", counted)
+    lambda_max(golden_wlr, nu_uniform)
+    assert len(calls) == 1
+
+
+def test_build_wlr_pins_zero_weight_cells(nu_uniform):
+    # Nonlocal, inside the quantum set, and six cells carry no weight.
+    verts = lr_vertices()
+    sigma = 0.3 * pr_box() + 0.35 * verts[0] + 0.35 * verts[1]
+    assert quantum_set().contains(sigma)
+    free = sigma == 0
+    assert int(free.sum()) == 6
+    wlr = build_wlr(ConditionalDistribution2(sigma), nu_uniform)
+    assert wlr.lr_violating
+    assert np.all(wlr.table[free] == 0.0)
+    assert np.all(wlr.table[~free] > 0.0)
+    assert wlr.gain == pytest.approx(0.0571479699328497, abs=1e-12)
+    assert lambda_max(wlr, nu_uniform) == pytest.approx(
+        lambda_max_bisection(wlr.table, nu_uniform), abs=1e-8
+    )
 
 
 def test_build_wlr_local_behavior_gives_unity(nu_uniform):
