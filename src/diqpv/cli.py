@@ -356,12 +356,12 @@ def cmd_geometry(args) -> int:
 
     sizes: dict[str, dict] = {}
     for dim in dims:
-        q = region_size("quantum", spec, dim, args.mc_size, args.seed, args.threads)
-        union = region_size("classical", spec, dim, args.mc_size, args.seed + 1, args.threads)
-        lens_a = region_size("lens_a", spec, dim, args.mc_size, args.seed + 2, args.threads)
-        lens_b = region_size("lens_b", spec, dim, args.mc_size, args.seed + 3, args.threads)
+        q = region_size("quantum", spec, dim)
+        union = region_size("classical", spec, dim)
+        lens_a = region_size("lens_a", spec, dim)
+        lens_b = region_size("lens_b", spec, dim)
         if dim == 1:
-            comparable = (lens_a[0] + lens_b[0], math.hypot(lens_a[1], lens_b[1]))
+            comparable = (lens_a[0] + lens_b[0], 0.0)
             ideal = (spec.d_sep, 0.0)
         else:
             comparable = union
@@ -383,9 +383,7 @@ def cmd_geometry(args) -> int:
             entry: dict = {"comparator": comparator}
             try:
                 res = quantum_advantage(
-                    tg, dim, comparator,
-                    mc_outer=args.mc_outer, mc_inner=args.mc_inner,
-                    seed=args.seed, threads=args.threads,
+                    tg, dim, comparator, mc_outer=args.mc_outer, seed=args.seed
                 )
             except EmptyRegionError as exc:
                 entry.update({"ratio": None, "sigma": None, "degenerate": True,
@@ -505,14 +503,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="JSON timing geometry (ns, m keys)")
     p.add_argument("--dim", choices=("1", "2", "3", "all"), default="all")
-    p.add_argument("--mc-size", type=int, default=1_000_000,
-                   help="inner samples for region sizes")
+    p.add_argument("--mc-size", type=int, default=None,
+                   help="ignored: region sizes are exact")
     p.add_argument("--mc-outer", type=int, default=100_000,
                    help="parameter draws for advantage ratios")
-    p.add_argument("--mc-inner", type=int, default=1_000_000,
-                   help="inner samples for advantage ratios")
+    p.add_argument("--mc-inner", type=int, default=None,
+                   help="ignored: region sizes are exact")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_geometry)
 
     p = sub.add_parser("build-tf", help="build and certify a test factor from counts")

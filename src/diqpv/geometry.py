@@ -1,4 +1,4 @@
-"""Spacetime target regions and Monte Carlo advantage ratios.
+"""Spacetime target regions, their exact sizes and advantage ratios.
 
 Verifier station A sits at the origin, station B at (d_sep, 0, 0); a
 candidate prover location is summarized by its distances l_A, l_B to the
@@ -21,22 +21,18 @@ while classical responders can sit in either lens
 whose union is the comparable classical region.  The two lenses intersect
 exactly in the quantum region, so union = lensA + lensB - quantum; the
 one-dimensional comparison uses the summed lens lengths, the 2D and 3D
-comparisons the union.  All regions are convex or unions of convex sets,
-rotationally symmetric about the station axis, and are sized by Monte
-Carlo over per-region bounding boxes derived from the defining
-inequalities (3D integrates the half-plane (x, rho) with weight 2 pi rho).
+comparisons the union.  All regions are rotationally symmetric about the
+station axis, and every constraint is a disk or an ellipse in the
+half-plane (x, rho), so each region's length, area and volume has a closed
+form (see _measure).
 
-Advantage ratios propagate timing and separation uncertainty by outer
-Gaussian parameter draws sharing one fixed inner point set (common random
-numbers); only points near a region boundary across the drawn parameter
-range are re-evaluated per draw, which keeps 1e5 x 1e5 draws fast without
-approximating any membership test.
+Advantage ratios propagate timing and separation uncertainty by Gaussian
+parameter draws; each draw's regions are sized exactly, all draws at once.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,146 +129,110 @@ def point_in_classical_region(point, spec: RegionSpec) -> bool:
     return bool(classical_lengths_ok(la, lb, spec))
 
 
-def _ellipse_halfwidth(total: float, d: float) -> float:
-    """Transverse half-width of {l_A + l_B <= total}; 0 if degenerate."""
-    if total <= d:
-        return 0.0
-    return math.sqrt((total / 2.0) ** 2 - (d / 2.0) ** 2)
+def _chords(region: str, ra, rb, s_ab, s_ba, d):
+    """A region's constraints as squared half-chords, stations at 0 and d.
+
+    Each constraint reads rho^2 <= k (R^2 - (x - x0)^2) in the half-plane
+    (x, rho): a disk has k = 1; the ellipse l_A + l_B <= s has semi-major
+    axis R = s/2 about x0 = d/2 and k = 1 - (d/s)^2, which is negative
+    when the cap s is below d and no point can meet it.  Returns arrays
+    k, R, x0 of shape (constraints, draws).
+    """
+    def ellipse(s):
+        return 1.0 - (d / s) ** 2, s / 2.0, d / 2.0
+
+    disk_a, disk_b = (1.0, ra, 0.0), (1.0, rb, d)
+    if region == "quantum":
+        parts = (disk_a, disk_b, ellipse(np.minimum(s_ab, s_ba)))
+    elif region == "lens_a":
+        parts = (disk_a, ellipse(s_ba))
+    elif region == "lens_b":
+        parts = (disk_b, ellipse(s_ab))
+    else:
+        raise ValueError(f"unknown region {region!r}")
+    shape = np.broadcast_shapes(*(np.shape(v) for p in parts for v in p))
+    return (np.array([np.broadcast_to(p[i], shape) for p in parts], dtype=np.float64)
+            for i in range(3))
 
 
-def _interval(lo_parts, hi_parts) -> tuple[float, float]:
-    lo, hi = max(lo_parts), min(hi_parts)
-    return lo, hi
+def _antiderivative_2d(u, r):
+    """Integral of 2 sqrt(R^2 - u^2) du (up to a constant)."""
+    ratio = np.clip(np.divide(u, r, out=np.zeros_like(u), where=r != 0), -1.0, 1.0)
+    return u * np.sqrt(np.maximum(r * r - u * u, 0.0)) + r * r * np.arcsin(ratio)
+
+
+def _measure(region: str, dim: int, ra, rb, s_ab, s_ba, d=1.0):
+    """Axis support (lo, hi) and exact size of a region for arrays of draws.
+
+    lo > hi where the region misses the station axis, and its size is 0.
+    The cross-section at x is |rho| <= sqrt(min_i f_i(x)) with each f_i a
+    quadratic (see _chords), so between consecutive breakpoints (the
+    support ends and every pairwise crossing of the f_i) one constraint is
+    active and the length, area or volume integrates in closed form.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k, r, x0 = _chords(region, ra, rb, s_ab, s_ba, d)
+        reach = k >= 0.0
+        lo = np.where(reach, x0 - r, np.inf).max(axis=0)
+        hi = np.where(reach, x0 + r, -np.inf).min(axis=0)
+        empty = ~(lo <= hi)
+        a, b = np.where(empty, 0.0, lo), np.where(empty, 0.0, hi)
+        if dim == 1:
+            return lo, hi, b - a
+        k = np.where(empty, 0.0, k)
+        points = [a, b]
+        for i in range(len(k)):
+            for j in range(i + 1, len(k)):
+                # f_i - f_j = qa x^2 + qb x + qc, solved in the stable form.
+                qa = k[j] - k[i]
+                qb = 2.0 * (k[i] * x0[i] - k[j] * x0[j])
+                qc = k[i] * (r[i] ** 2 - x0[i] ** 2) - k[j] * (r[j] ** 2 - x0[j] ** 2)
+                q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+                points += [q / qa, qc / q]
+        x = np.clip(np.array(points), a, b)
+        x = np.sort(np.where(np.isnan(x), a, x), axis=0)
+    mid = 0.5 * (x[1:] + x[:-1])
+    active = (k[:, None] * (r[:, None] ** 2 - (mid - x0[:, None]) ** 2)).argmin(axis=0)
+    kk, rr, cc = (np.take_along_axis(v[:, None], active[None], 0)[0] for v in (k, r, x0))
+    ul, ur = x[:-1] - cc, x[1:] - cc
+    if dim == 2:
+        parts = np.sqrt(kk) * (_antiderivative_2d(ur, rr) - _antiderivative_2d(ul, rr))
+    else:
+        parts = math.pi * kk * (ur - ul) * (rr * rr - (ur * ur + ur * ul + ul * ul) / 3.0)
+    return lo, hi, parts.sum(axis=0)
+
+
+def _spec_measure(region: str, spec: RegionSpec, dim: int):
+    lo, hi, size = _measure(region, dim, spec.radius_a, spec.radius_b,
+                            spec.ellipse_ab, spec.ellipse_ba, np.array([spec.d_sep]))
+    return float(lo[0]), float(hi[0]), float(size[0])
 
 
 def axis_interval(region: str, spec: RegionSpec) -> tuple[float, float]:
     """Closed-form intersection of a region with the station axis.
 
-    Returns (lo, hi); empty when lo > hi.  region is one of "quantum",
-    "lens_a", "lens_b".
+    Returns (lo, hi); empty when lo > hi, and (inf, -inf) when a sum cap
+    below the station separation makes the region empty.  region is one
+    of "quantum", "lens_a", "lens_b".
     """
-    d = spec.d_sep
-    if region == "quantum":
-        cap = min(spec.ellipse_ab, spec.ellipse_ba)
-        return _interval(
-            (-spec.radius_a, d - spec.radius_b, (d - cap) / 2.0),
-            (spec.radius_a, d + spec.radius_b, (d + cap) / 2.0),
-        )
-    if region == "lens_a":
-        return _interval(
-            (-spec.radius_a, (d - spec.ellipse_ba) / 2.0),
-            (spec.radius_a, (d + spec.ellipse_ba) / 2.0),
-        )
-    if region == "lens_b":
-        return _interval(
-            (d - spec.radius_b, (d - spec.ellipse_ab) / 2.0),
-            (d + spec.radius_b, (d + spec.ellipse_ab) / 2.0),
-        )
-    raise ValueError(f"unknown region {region!r}")
+    lo, hi, _ = _spec_measure(region, spec, 1)
+    return lo, hi
 
 
-def _box(region: str, spec: RegionSpec, pad: float = 0.01) -> tuple[float, float, float]:
-    """Bounding (x_lo, x_hi, rho_max) from the defining inequalities."""
-    d = spec.d_sep
-    if region == "quantum":
-        lo, hi = axis_interval("quantum", spec)
-        cap = min(spec.ellipse_ab, spec.ellipse_ba)
-        rho = min(spec.radius_a, spec.radius_b, _ellipse_halfwidth(cap, d))
-    elif region == "lens_a":
-        lo, hi = axis_interval("lens_a", spec)
-        rho = min(spec.radius_a, _ellipse_halfwidth(spec.ellipse_ba, d))
-    elif region == "lens_b":
-        lo, hi = axis_interval("lens_b", spec)
-        rho = min(spec.radius_b, _ellipse_halfwidth(spec.ellipse_ab, d))
-    elif region == "classical":
-        a = _box("lens_a", spec, 0.0)
-        b = _box("lens_b", spec, 0.0)
-        lo, hi, rho = min(a[0], b[0]), max(a[1], b[1]), max(a[2], b[2])
-    else:
-        raise ValueError(f"unknown region {region!r}")
-    if hi <= lo or rho < 0:
-        return 0.0, 0.0, 0.0
-    span = hi - lo
-    return lo - pad * span, hi + pad * span, rho * (1.0 + pad)
+def region_size(region: str, spec: RegionSpec, dim: int) -> tuple[float, float]:
+    """Exact size (length/area/volume) of a region, as (size, 0.0).
 
-
-_PREDICATES = {
-    "quantum": quantum_lengths_ok,
-    "classical": classical_lengths_ok,
-    "lens_a": lens_a_ok,
-    "lens_b": lens_b_ok,
-}
-
-
-def region_size(
-    region: str,
-    spec: RegionSpec,
-    dim: int,
-    mc_samples: int = 1_000_000,
-    seed: int = 1,
-    threads: int | None = None,
-) -> tuple[float, float]:
-    """Monte Carlo size (length/area/volume) of a region with its 1-sigma.
-
-    Samples the region's own bounding box; 3D integrates over (x, rho)
-    with weight 2 pi rho.  Returns (size, standard error); an empty box
-    gives (0, 0) and a box with no hits reports the rule-of-three bound.
+    region is "quantum", "lens_a", "lens_b" or "classical" (the lens
+    union, lens_a + lens_b - quantum).  The second entry is the size's
+    error, kept for the report's [size, err] pairs; it is always 0.
     """
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2, or 3")
-    if region not in _PREDICATES:
-        raise ValueError(f"unknown region {region!r}")
-    pred = _PREDICATES[region]
-    xlo, xhi, rho_max = _box(region, spec)
-    if xhi <= xlo:
-        return 0.0, 0.0
-    if dim == 1:
-        measure = xhi - xlo
-    elif dim == 2:
-        measure = (xhi - xlo) * 2.0 * rho_max
-    else:
-        measure = (xhi - xlo) * rho_max  # (x, rho) box; weights carry 2 pi rho
-    if measure <= 0:
-        return 0.0, 0.0
-
-    def shard(key: int, count: int):
-        rng = np.random.Generator(np.random.Philox(key=key))
-        x = rng.uniform(xlo, xhi, count)
-        if dim == 1:
-            la = np.abs(x)
-            lb = np.abs(x - spec.d_sep)
-            vals = pred(la, lb, spec).astype(np.float64)
-        elif dim == 2:
-            y = rng.uniform(-rho_max, rho_max, count)
-            la = np.hypot(x, y)
-            lb = np.hypot(x - spec.d_sep, y)
-            vals = pred(la, lb, spec).astype(np.float64)
-        else:
-            rho = rng.uniform(0.0, rho_max, count)
-            la = np.hypot(x, rho)
-            lb = np.hypot(x - spec.d_sep, rho)
-            vals = pred(la, lb, spec) * (2.0 * math.pi * rho)
-        return float(vals.sum()), float((vals**2).sum())
-
-    n_shards = max(1, min(64, mc_samples // 250_000))
-    counts = [mc_samples // n_shards] * n_shards
-    counts[0] += mc_samples - sum(counts)
-    keys = [(seed << 16) | i for i in range(n_shards)]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(shard, keys, counts))
-    else:
-        parts = [shard(k, c) for k, c in zip(keys, counts)]
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    n = float(mc_samples)
-    mean = s1 / n
-    var = max(s2 / n - mean**2, 0.0)
-    size = measure * mean
-    if s1 == 0.0:
-        bound = measure * (3.0 / n) * (2.0 * math.pi * rho_max if dim == 3 else 1.0)
-        return 0.0, bound
-    return size, measure * math.sqrt(var / n)
+    if region == "classical":
+        q, a, b = (_spec_measure(name, spec, dim)[2]
+                   for name in ("quantum", "lens_a", "lens_b"))
+        return a + b - q, 0.0
+    return _spec_measure(region, spec, dim)[2], 0.0
 
 
 @dataclass(frozen=True)
@@ -302,75 +262,23 @@ def _draw_parameters(tg: TimingGeometry, n: int, seed: int, c: float):
     return ra, rb, m_ab, m_ba, d
 
 
-class _BandCounter:
-    """Weighted region counts over fixed points for many parameter draws.
-
-    Points whose attribute lies outside the drawn threshold range are
-    classified once; only the boundary band is re-tested per draw.  The
-    counts are exact for every draw, not an approximation.
-    """
-
-    def __init__(self, attrs: dict[str, np.ndarray], weights: np.ndarray,
-                 ranges: dict[str, tuple[float, float]]):
-        self.attrs = attrs
-        self.weights = weights
-        self.ranges = ranges
-
-    def mask_counts(self, constraints: list[tuple[str, np.ndarray]]) -> np.ndarray:
-        """Sum of weights of points satisfying attr <= threshold for all
-        constraints, one value per draw."""
-        n_pts = self.weights.size
-        sure_in = np.ones(n_pts, dtype=bool)
-        uncertain = np.zeros(n_pts, dtype=bool)
-        for name, _ in constraints:
-            lo, hi = self.ranges[name]
-            a = self.attrs[name]
-            sure_in &= a <= lo
-            uncertain |= (a > lo) & (a <= hi)
-        # A point is out for every draw when some attribute exceeds the
-        # range top; what remains splits into always-in and band points.
-        maybe = sure_in | uncertain
-        for name, _ in constraints:
-            _, hi = self.ranges[name]
-            maybe &= self.attrs[name] <= hi
-        band = maybe & ~sure_in
-        base = float(self.weights[sure_in & maybe].sum())
-        idx = np.nonzero(band)[0]
-        n_draws = constraints[0][1].size
-        out = np.full(n_draws, base)
-        if idx.size == 0:
-            return out
-        w_band = self.weights[idx]
-        attr_band = {name: self.attrs[name][idx] for name, _ in constraints}
-        chunk = max(1, int(4_000_000 // max(1, idx.size)))
-        for start in range(0, n_draws, chunk):
-            stop = min(start + chunk, n_draws)
-            ok = np.ones((stop - start, idx.size), dtype=bool)
-            for name, thresh in constraints:
-                ok &= attr_band[name][None, :] <= thresh[start:stop, None]
-            out[start:stop] += ok @ w_band
-        return out
-
-
 def quantum_advantage(
     tg: TimingGeometry,
     dim: int,
     comparator: str = "comparable",
     mc_outer: int = 100_000,
-    mc_inner: int = 1_000_000,
     seed: int = 1,
     c: float = SPEED_OF_LIGHT_M_PER_NS,
-    threads: int | None = None,
 ) -> AdvantageResult:
     """Ratio of classical to quantum target-region size under uncertainty.
 
-    Draws mc_outer Gaussian parameter sets, sizes the regions on a common
-    set of mc_inner points in separation-scaled coordinates, and returns
-    the mean ratio with its standard deviation across draws.  comparator
-    "ideal" divides the ideal classical size (the station segment in 1D,
-    zero above) by the quantum size; "comparable" divides the lens sum
-    (1D) or lens union (2D/3D).  Aborts when more than 1% of draws give
-    an empty quantum region.
+    Draws mc_outer Gaussian parameter sets, sizes the regions of each draw
+    exactly in separation-scaled coordinates, and returns the mean ratio
+    with its standard deviation across draws.  comparator "ideal" divides
+    the ideal classical size (the station segment in 1D, zero above) by
+    the quantum size; "comparable" divides the lens sum (1D) or lens union
+    (2D/3D).  Aborts when more than 1% of draws give an empty quantum
+    region.
     """
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2, or 3")
@@ -380,13 +288,9 @@ def quantum_advantage(
     if (d <= 0).any():
         raise EmptyRegionError("separation draw crossed zero; uncertainties too large")
     # Separation-scaled parameters; the ratio is scale invariant.
-    alpha, beta = ra / d, rb / d
-    g_ab, g_ba = m_ab / d, m_ba / d
-    cap = np.minimum(g_ab, g_ba)
-
-    lo_ax = np.maximum.reduce([-alpha, 1.0 - beta, (1.0 - cap) / 2.0])
-    hi_ax = np.minimum.reduce([alpha, 1.0 + beta, (1.0 + cap) / 2.0])
-    empty = lo_ax > hi_ax
+    scaled = (ra / d, rb / d, m_ab / d, m_ba / d)
+    lo, hi, q_size = _measure("quantum", 1, *scaled)
+    empty = lo > hi
     empty_fraction = float(empty.mean())
     if empty_fraction > 0.01:
         raise EmptyRegionError(
@@ -400,68 +304,14 @@ def quantum_advantage(
             samples=np.array([]),
         )
 
-    # One bounding box covering every draw's classical and quantum regions.
-    spec_hi = RegionSpec(
-        radius_a=float(alpha.max()), radius_b=float(beta.max()),
-        ellipse_ab=float(g_ab.max()), ellipse_ba=float(g_ba.max()), d_sep=1.0,
-    )
-    xlo, xhi, rho_max = _box("classical", spec_hi, pad=0.005)
-    rng = np.random.Generator(np.random.Philox(key=(seed << 16) | 0xA5))
-    x = rng.uniform(xlo, xhi, mc_inner)
-    if dim == 1:
-        la = np.abs(x)
-        lb = np.abs(x - 1.0)
-        weights = np.ones(mc_inner)
-        box_measure = xhi - xlo
-    elif dim == 2:
-        y = rng.uniform(-rho_max, rho_max, mc_inner)
-        la = np.hypot(x, y)
-        lb = np.hypot(x - 1.0, y)
-        weights = np.ones(mc_inner)
-        box_measure = (xhi - xlo) * 2.0 * rho_max
-    else:
-        rho = rng.uniform(0.0, rho_max, mc_inner)
-        la = np.hypot(x, rho)
-        lb = np.hypot(x - 1.0, rho)
-        weights = 2.0 * math.pi * rho
-        box_measure = (xhi - xlo) * rho_max
-
-    ranges = {
-        "la_ra": (float(alpha.min()), float(alpha.max())),
-        "lb_rb": (float(beta.min()), float(beta.max())),
-        "sum_ab": (float(g_ab.min()), float(g_ab.max())),
-        "sum_ba": (float(g_ba.min()), float(g_ba.max())),
-    }
-    dist_sum = la + lb
-    counter = _BandCounter(
-        attrs={"la_ra": la, "lb_rb": lb, "sum_ab": dist_sum, "sum_ba": dist_sum},
-        weights=weights,
-        ranges=ranges,
-    )
-    # Constraint lists of the quantum region, lens A and lens B.
-    regions = (
-        [("la_ra", alpha), ("lb_rb", beta), ("sum_ab", g_ab), ("sum_ba", g_ba)],
-        [("la_ra", alpha), ("sum_ba", g_ba)],
-        [("lb_rb", beta), ("sum_ab", g_ab)],
-    )
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, 3)) as pool:
-            q_cnt, a_cnt, b_cnt = pool.map(counter.mask_counts, regions)
-    else:
-        q_cnt, a_cnt, b_cnt = map(counter.mask_counts, regions)
-
-    scale = box_measure / mc_inner
-    q_size = q_cnt * scale
-    lens_sum = (a_cnt + b_cnt) * scale
-    union = lens_sum - q_size
-
-    ok = ~empty & (q_cnt > 0)
+    if dim > 1:
+        q_size = _measure("quantum", dim, *scaled)[2]
+    ok = ~empty & (q_size > 0)
     if comparator == "ideal":
         classical = np.ones(mc_outer)  # the separation segment, scaled length 1
-    elif dim == 1:
-        classical = lens_sum
     else:
-        classical = union
+        lens_sum = _measure("lens_a", dim, *scaled)[2] + _measure("lens_b", dim, *scaled)[2]
+        classical = lens_sum if dim == 1 else lens_sum - q_size
     ratios = classical[ok] / q_size[ok]
     if ratios.size == 0:
         raise EmptyRegionError("no parameter draw produced a nonempty quantum region")

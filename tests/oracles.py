@@ -4,8 +4,9 @@ Everything here is written from first principles against the package:
 explicit two-qubit projectors instead of amplitude shortcuts, exhaustive
 vertex catalogs instead of H-representations, bisection over the primal
 certification LP instead of its dual, compensated summation by the
-textbook per-term recurrence, closed-form lengths instead of Monte
-Carlo.  Tests freeze these as the definition of correct.
+textbook per-term recurrence, and dense axis scans and Monte Carlo
+sampling of the defining inequalities instead of closed-form region
+sizes.  Tests freeze these as the definition of correct.
 """
 
 import math
@@ -211,26 +212,116 @@ def kahan_sum(values):
     return total
 
 
-# Closed-form target-region lengths on the station axis
+# Target regions: membership by the defining inequalities, sized by dense
+# axis scans and Monte Carlo
 
 
-def interval_1d(lo_parts, hi_parts):
-    lo, hi = max(lo_parts), min(hi_parts)
-    return (lo, hi) if hi > lo else (0.0, 0.0)
+REGION_TESTS = {
+    "quantum": lambda la, lb, s: (la <= s.radius_a) & (lb <= s.radius_b)
+    & (la + lb <= min(s.ellipse_ab, s.ellipse_ba)),
+    "lens_a": lambda la, lb, s: (la <= s.radius_a) & (la + lb <= s.ellipse_ba),
+    "lens_b": lambda la, lb, s: (lb <= s.radius_b) & (la + lb <= s.ellipse_ab),
+}
+REGION_TESTS["classical"] = lambda la, lb, s: (
+    REGION_TESTS["lens_a"](la, lb, s) | REGION_TESTS["lens_b"](la, lb, s))
 
 
-def quantum_interval_oracle(ra, rb, m_ab, m_ba, d):
-    cap = min(m_ab, m_ba)
-    return interval_1d((-ra, d - rb, (d - cap) / 2.0),
-                       (ra, d + rb, (d + cap) / 2.0))
+def axis_scan(region, spec, samples=400_001):
+    """First and last point of a uniform station-axis grid inside a region,
+    and the grid step: (first, last, step), first = last = None when no grid
+    point is inside."""
+    reach = max(spec.radius_a, spec.radius_b, spec.ellipse_ab, spec.ellipse_ba)
+    x, step = np.linspace(-reach - 1.0, spec.d_sep + reach + 1.0, samples, retstep=True)
+    inside = np.nonzero(REGION_TESTS[region](np.abs(x), np.abs(x - spec.d_sep), spec))[0]
+    if inside.size == 0:
+        return None, None, float(step)
+    return float(x[inside[0]]), float(x[inside[-1]]), float(step)
 
 
-def lens_a_interval_oracle(ra, m_ba, d):
-    return interval_1d((-ra, (d - m_ba) / 2.0), (ra, (d + m_ba) / 2.0))
+def _ellipse_halfwidth(total, d):
+    """Transverse half-width of {l_A + l_B <= total}; 0 if degenerate."""
+    if total <= d:
+        return 0.0
+    return math.sqrt((total / 2.0) ** 2 - (d / 2.0) ** 2)
 
 
-def lens_b_interval_oracle(rb, m_ab, d):
-    return interval_1d((d - rb, (d - m_ab) / 2.0), (d + rb, (d + m_ab) / 2.0))
+def _mc_box(region, spec, pad=0.01):
+    """Bounding (x_lo, x_hi, rho_max) from the defining inequalities."""
+    ra, rb, d = spec.radius_a, spec.radius_b, spec.d_sep
+    if region == "quantum":
+        cap = min(spec.ellipse_ab, spec.ellipse_ba)
+        lo = max(-ra, d - rb, (d - cap) / 2.0)
+        hi = min(ra, d + rb, (d + cap) / 2.0)
+        rho = min(ra, rb, _ellipse_halfwidth(cap, d))
+    elif region == "lens_a":
+        lo = max(-ra, (d - spec.ellipse_ba) / 2.0)
+        hi = min(ra, (d + spec.ellipse_ba) / 2.0)
+        rho = min(ra, _ellipse_halfwidth(spec.ellipse_ba, d))
+    elif region == "lens_b":
+        lo = max(d - rb, (d - spec.ellipse_ab) / 2.0)
+        hi = min(d + rb, (d + spec.ellipse_ab) / 2.0)
+        rho = min(rb, _ellipse_halfwidth(spec.ellipse_ab, d))
+    else:
+        a = _mc_box("lens_a", spec, 0.0)
+        b = _mc_box("lens_b", spec, 0.0)
+        lo, hi, rho = min(a[0], b[0]), max(a[1], b[1]), max(a[2], b[2])
+    if hi <= lo or rho < 0:
+        return 0.0, 0.0, 0.0
+    span = hi - lo
+    return lo - pad * span, hi + pad * span, rho * (1.0 + pad)
+
+
+def region_size_mc(region, spec, dim, mc_samples=1_000_000, seed=1):
+    """Monte Carlo size (length/area/volume) of a region with its 1-sigma.
+
+    Samples the region's own bounding box; 3D integrates over (x, rho)
+    with weight 2 pi rho.  Returns (size, standard error); an empty box
+    gives (0, 0) and a box with no hits reports the rule-of-three bound.
+    """
+    pred = REGION_TESTS[region]
+    xlo, xhi, rho_max = _mc_box(region, spec)
+    if xhi <= xlo:
+        return 0.0, 0.0
+    if dim == 1:
+        measure = xhi - xlo
+    elif dim == 2:
+        measure = (xhi - xlo) * 2.0 * rho_max
+    else:
+        measure = (xhi - xlo) * rho_max  # (x, rho) box; weights carry 2 pi rho
+    if measure <= 0:
+        return 0.0, 0.0
+
+    def shard(key, count):
+        rng = np.random.Generator(np.random.Philox(key=key))
+        x = rng.uniform(xlo, xhi, count)
+        if dim == 1:
+            vals = pred(np.abs(x), np.abs(x - spec.d_sep), spec).astype(np.float64)
+        elif dim == 2:
+            y = rng.uniform(-rho_max, rho_max, count)
+            la = np.hypot(x, y)
+            lb = np.hypot(x - spec.d_sep, y)
+            vals = pred(la, lb, spec).astype(np.float64)
+        else:
+            rho = rng.uniform(0.0, rho_max, count)
+            la = np.hypot(x, rho)
+            lb = np.hypot(x - spec.d_sep, rho)
+            vals = pred(la, lb, spec) * (2.0 * math.pi * rho)
+        return float(vals.sum()), float((vals**2).sum())
+
+    n_shards = max(1, min(64, mc_samples // 250_000))
+    counts = [mc_samples // n_shards] * n_shards
+    counts[0] += mc_samples - sum(counts)
+    parts = [shard((seed << 16) | i, c) for i, c in enumerate(counts)]
+    s1 = sum(p[0] for p in parts)
+    s2 = sum(p[1] for p in parts)
+    n = float(mc_samples)
+    mean = s1 / n
+    var = max(s2 / n - mean**2, 0.0)
+    size = measure * mean
+    if s1 == 0.0:
+        bound = measure * (3.0 / n) * (2.0 * math.pi * rho_max if dim == 3 else 1.0)
+        return 0.0, bound
+    return size, measure * math.sqrt(var / n)
 
 
 def sphere_volume(radius):

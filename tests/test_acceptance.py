@@ -188,8 +188,7 @@ def test_c09_target_region_geometry():
     ratio_errs = {}
     ok = all(e <= 0.3 for e in len_errs.values())
     for (dim, comparator), (center, sigma) in sorted(REFERENCE_ADVANTAGE.items()):
-        res = quantum_advantage(tg, dim, comparator, mc_outer=100_000,
-                                mc_inner=100_000, seed=7)
+        res = quantum_advantage(tg, dim, comparator, mc_outer=100_000, seed=7)
         ratio_errs[(dim, comparator)] = (res.ratio, abs(res.ratio - center), 3.0 * sigma)
         ok = ok and abs(res.ratio - center) <= 3.0 * sigma
     elapsed = time.perf_counter() - start
@@ -246,8 +245,7 @@ def test_c10_structural_invariants(golden_factor, golden_sigma3, nu_uniform):
     reproducible = np.array_equal(
         sample_trials(golden_sigma3, nu_uniform, 50_000, key),
         sample_trials(golden_sigma3, nu_uniform, 50_000, key),
-    ) and region_size("quantum", spec, 2, 200_000, 3) == region_size(
-        "quantum", spec, 2, 200_000, 3)
+    ) and region_size("quantum", spec, 2) == region_size("quantum", spec, 2)
 
     ok = contained and inside > 0 and local and neutral and reproducible
     _check(10, "structural invariants", ok,

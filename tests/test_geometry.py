@@ -22,13 +22,11 @@ from diqpv.geometry import (
 from diqpv.reference import timing_geometry
 
 from golden import REFERENCE_ADVANTAGE, REFERENCE_LENGTHS, REFERENCE_TIMING
-from oracles import (
-    direct_3d_volume,
-    lens_a_interval_oracle,
-    lens_b_interval_oracle,
-    quantum_interval_oracle,
-    sphere_volume,
-)
+from oracles import axis_scan, direct_3d_volume, region_size_mc, sphere_volume
+
+# Nonempty bounding box, empty region: the sum cap 10 is below d = 50.
+HOLLOW = RegionSpec(radius_a=100.0, radius_b=100.0, ellipse_ab=10.0, ellipse_ba=10.0,
+                    d_sep=50.0)
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +71,7 @@ def test_zero_round_trip_collapses_region():
     assert spec0.radius_a == 0.0
     lo, hi = axis_interval("quantum", spec0)
     assert hi - lo <= 0.0
-    assert region_size("quantum", spec0, 1, mc_samples=10_000) == (0.0, 0.0)
+    assert region_size("quantum", spec0, 1) == (0.0, 0.0)
 
 
 def test_point_examples(spec):
@@ -132,17 +130,38 @@ def test_regions_grow_with_timing_slack(tg, spec):
         assert hi1 - lo1 >= hi0 - lo0 - 1e-12
 
 
+def _assert_axis_interval_matches_scan(region, spec):
+    lo, hi = axis_interval(region, spec)
+    first, last, step = axis_scan(region, spec)
+    if first is None:
+        # No grid point inside: empty, or shorter than one grid step.
+        assert hi - lo < step
+        return
+    slack = 1e-9 * (1.0 + abs(first) + abs(last))
+    assert first - step - slack < lo <= first + slack
+    assert last - slack <= hi < last + step + slack
+
+
 def test_axis_intervals_match_oracles(spec):
-    ra, rb = spec.radius_a, spec.radius_b
-    m_ab, m_ba, d = spec.ellipse_ab, spec.ellipse_ba, spec.d_sep
-    assert axis_interval("quantum", spec) == quantum_interval_oracle(ra, rb, m_ab, m_ba, d)
-    assert axis_interval("lens_a", spec) == lens_a_interval_oracle(ra, m_ba, d)
-    assert axis_interval("lens_b", spec) == lens_b_interval_oracle(rb, m_ab, d)
+    for region in ("quantum", "lens_a", "lens_b"):
+        _assert_axis_interval_matches_scan(region, spec)
     lo, hi = axis_interval("quantum", spec)
     assert lo == pytest.approx(78.391, abs=1e-3)
     assert hi == pytest.approx(157.286, abs=1e-3)
     with pytest.raises(ValueError):
         axis_interval("nowhere", spec)
+
+    # An unreachable sum cap empties the region, though the disks overlap.
+    for region in ("quantum", "lens_a", "lens_b"):
+        lo, hi = axis_interval(region, HOLLOW)
+        assert lo > hi
+        assert axis_scan(region, HOLLOW)[0] is None
+    assert not point_in_quantum_region((25.0,), HOLLOW)
+    # A cap equal to d keeps the station segment.
+    flat = RegionSpec(radius_a=40.0, radius_b=40.0, ellipse_ab=50.0, ellipse_ba=50.0,
+                      d_sep=50.0)
+    assert axis_interval("quantum", flat) == (10.0, 40.0)
+    assert axis_interval("lens_a", flat) == (0.0, 40.0)
 
     rng = np.random.Generator(np.random.Philox(key=19))
     for _ in range(50):
@@ -153,11 +172,8 @@ def test_axis_intervals_match_oracles(spec):
             ellipse_ba=float(rng.uniform(1, 400)),
             d_sep=float(rng.uniform(1, 300)),
         )
-        lo, hi = axis_interval("quantum", r)
-        olo, ohi = quantum_interval_oracle(
-            r.radius_a, r.radius_b, r.ellipse_ab, r.ellipse_ba, r.d_sep
-        )
-        assert max(hi - lo, 0.0) == pytest.approx(ohi - olo, abs=1e-12)
+        for region in ("quantum", "lens_a", "lens_b"):
+            _assert_axis_interval_matches_scan(region, r)
 
 
 def test_region_size_1d_matches_closed_form(spec):
@@ -167,9 +183,13 @@ def test_region_size_1d_matches_closed_form(spec):
         "lens_b": 156.570,
         "classical": 273.993,
     }
+    lengths = {r: max(hi - lo, 0.0) for r in ("quantum", "lens_a", "lens_b")
+               for lo, hi in [axis_interval(r, spec)]}
+    lengths["classical"] = lengths["lens_a"] + lengths["lens_b"] - lengths["quantum"]
     for region, expect in expectations.items():
-        size, err = region_size(region, spec, 1, mc_samples=400_000, seed=23)
-        assert err > 0
+        size, err = region_size(region, spec, 1)
+        assert err == 0.0
+        assert size == pytest.approx(lengths[region], rel=1e-12, abs=1e-12)
         assert abs(size - expect) <= max(4.0 * err, 0.05)
 
 
@@ -177,12 +197,13 @@ def test_region_size_3d_sphere_limit():
     ball = RegionSpec(
         radius_a=10.0, radius_b=1e6, ellipse_ab=1e6, ellipse_ba=1e6, d_sep=20.0
     )
-    size, err = region_size("quantum", ball, 3, mc_samples=400_000, seed=29)
-    assert abs(size - sphere_volume(10.0)) <= 4.0 * err
+    assert region_size("quantum", ball, 3) == (
+        pytest.approx(sphere_volume(10.0), rel=1e-12), 0.0)
+    assert region_size("quantum", ball, 2) == (pytest.approx(math.pi * 100.0, rel=1e-12), 0.0)
 
 
 def test_region_size_3d_matches_direct_oracle(spec):
-    size, err = region_size("quantum", spec, 3, mc_samples=500_000, seed=31)
+    size, err = region_size("quantum", spec, 3)
     lo, hi = axis_interval("quantum", spec)
     span = hi - lo
     oracle, oerr = direct_3d_volume(
@@ -190,7 +211,7 @@ def test_region_size_3d_matches_direct_oracle(spec):
         spec.radius_b * 1.02, 500_000, seed=33,
     )
     assert abs(size - oracle) <= 4.0 * math.hypot(err, oerr)
-    union, uerr = region_size("classical", spec, 3, mc_samples=500_000, seed=35)
+    union, uerr = region_size("classical", spec, 3)
     uoracle, uoerr = direct_3d_volume(
         classical_lengths_ok, spec, (-45.0, 240.0), spec.radius_a * 1.02,
         500_000, seed=37,
@@ -198,24 +219,48 @@ def test_region_size_3d_matches_direct_oracle(spec):
     assert abs(union - uoracle) <= 4.0 * math.hypot(uerr, uoerr)
 
 
-def test_region_size_deterministic_and_threaded(spec):
-    a = region_size("quantum", spec, 2, mc_samples=300_000, seed=41)
-    b = region_size("quantum", spec, 2, mc_samples=300_000, seed=41)
-    assert a == b
-    c = region_size("quantum", spec, 2, mc_samples=300_000, seed=41, threads=4)
-    assert c == a
-    d = region_size("quantum", spec, 2, mc_samples=300_000, seed=42)
-    assert d != a
+def test_region_size_deterministic(spec):
+    for dim in (1, 2, 3):
+        assert region_size("quantum", spec, dim) == region_size("quantum", spec, dim)
 
 
-def test_region_size_rule_of_three_bound():
-    # Nonempty bounding box, empty region: the sum cap is unreachable.
-    hollow = RegionSpec(
-        radius_a=100.0, radius_b=100.0, ellipse_ab=10.0, ellipse_ba=10.0, d_sep=50.0
-    )
-    size, bound = region_size("quantum", hollow, 1, mc_samples=10_000)
-    assert size == 0.0
-    assert bound > 0.0
+def test_region_size_hollow_region_is_zero():
+    for dim in (1, 2, 3):
+        assert region_size("quantum", HOLLOW, dim) == (0.0, 0.0)
+
+
+def _oracle_specs():
+    """The reference spec, 20 random specs and tangent or degenerate ones."""
+    specs = [region_spec(TimingGeometry(**REFERENCE_TIMING))]
+    rng = np.random.Generator(np.random.Philox(key=43))
+    for _ in range(20):
+        d = float(rng.uniform(20, 300))
+        specs.append(RegionSpec(
+            radius_a=float(rng.uniform(0.2, 1.2) * d),
+            radius_b=float(rng.uniform(0.2, 1.2) * d),
+            ellipse_ab=float(rng.uniform(0.9, 2.5) * d),
+            ellipse_ba=float(rng.uniform(0.9, 2.5) * d),
+            d_sep=d,
+        ))
+    specs += [
+        RegionSpec(30.0, 200.0, 250.0, 260.0, 100.0),   # disk A inside both ellipses
+        RegionSpec(80.0, 70.0, 100.0, 100.0, 100.0),    # cap = d
+        HOLLOW,                                          # cap < d
+        RegionSpec(40.0, 50.0, 300.0, 300.0, 100.0),    # disjoint disks
+        RegionSpec(40.0, 60.0, 300.0, 300.0, 100.0),    # tangent disks
+        RegionSpec(100.0, 300.0, 300.0, 300.0, 100.0),  # disk A tangent inside the ellipses
+    ]
+    return specs
+
+
+def test_region_size_matches_monte_carlo_oracle():
+    for spec in _oracle_specs():
+        for region in ("quantum", "lens_a", "lens_b", "classical"):
+            for dim in (1, 2, 3):
+                size, err = region_size(region, spec, dim)
+                assert err == 0.0
+                oracle, oerr = region_size_mc(region, spec, dim, 1_000_000, seed=47)
+                assert abs(size - oracle) <= 4.0 * oerr, (spec, region, dim, size, oracle)
 
 
 def test_region_size_validation(spec):
@@ -227,9 +272,7 @@ def test_region_size_validation(spec):
 
 def test_quantum_advantage_reference_bands(tg):
     for (dim, comparator), (expect, spread) in REFERENCE_ADVANTAGE.items():
-        res = quantum_advantage(
-            tg, dim, comparator, mc_outer=20_000, mc_inner=200_000, seed=11
-        )
+        res = quantum_advantage(tg, dim, comparator, mc_outer=20_000, seed=11)
         assert not res.degenerate
         assert res.empty_fraction <= 0.01
         assert abs(res.ratio - expect) <= 3.0 * max(spread, 0.02) + 0.05
@@ -238,9 +281,17 @@ def test_quantum_advantage_reference_bands(tg):
 
 
 def test_quantum_advantage_deterministic(tg):
-    a = quantum_advantage(tg, 1, "comparable", mc_outer=5_000, mc_inner=100_000, seed=7)
-    b = quantum_advantage(tg, 1, "comparable", mc_outer=5_000, mc_inner=100_000, seed=7)
+    a = quantum_advantage(tg, 1, "comparable", mc_outer=5_000, seed=7)
+    b = quantum_advantage(tg, 1, "comparable", mc_outer=5_000, seed=7)
     assert a.ratio == b.ratio and a.sigma == b.sigma
+
+
+def test_quantum_advantage_1d_comparable_is_ideal_plus_two(tg):
+    # lens A + lens B = d + 2 quantum on the axis, draw by draw.
+    ideal = quantum_advantage(tg, 1, "ideal", mc_outer=20_000, seed=13)
+    comp = quantum_advantage(tg, 1, "comparable", mc_outer=20_000, seed=13)
+    assert ideal.samples.size == comp.samples.size == 20_000
+    np.testing.assert_allclose(comp.samples, ideal.samples + 2.0, rtol=1e-12, atol=0)
 
 
 def test_quantum_advantage_zero_uncertainty_matches_closed_form(tg):
@@ -248,16 +299,21 @@ def test_quantum_advantage_zero_uncertainty_matches_closed_form(tg):
         s_vap_ns=tg.s_vap_ns, s_vb_ns=tg.s_vb_ns,
         r_vap_ns=tg.r_vap_ns, r_vb_ns=tg.r_vb_ns, d_sep_m=tg.d_sep_m,
     )
-    res = quantum_advantage(exact, 1, "comparable", mc_outer=200, mc_inner=1_000_000, seed=3)
+    spec = region_spec(exact)
+    q, a, b = (hi - lo for lo, hi in (axis_interval(r, spec)
+                                      for r in ("quantum", "lens_a", "lens_b")))
+    res = quantum_advantage(exact, 1, "comparable", mc_outer=200, seed=3)
     assert res.sigma <= 1e-12
+    assert res.ratio == pytest.approx((a + b) / q, rel=1e-12)
     assert res.ratio == pytest.approx((196.321 + 156.570) / 78.895, rel=0.02)
-    ideal = quantum_advantage(exact, 1, "ideal", mc_outer=200, mc_inner=1_000_000, seed=3)
+    ideal = quantum_advantage(exact, 1, "ideal", mc_outer=200, seed=3)
+    assert ideal.ratio == pytest.approx(spec.d_sep / q, rel=1e-12)
     assert ideal.ratio == pytest.approx(195.1 / 78.895, rel=0.02)
 
 
 def test_quantum_advantage_ideal_degenerate_above_1d(tg):
     for dim in (2, 3):
-        res = quantum_advantage(tg, dim, "ideal", mc_outer=2_000, mc_inner=10_000, seed=5)
+        res = quantum_advantage(tg, dim, "ideal", mc_outer=2_000, seed=5)
         assert res.degenerate
         assert res.ratio == math.inf
         assert res.samples.size == 0
@@ -269,20 +325,33 @@ def test_quantum_advantage_empty_aborts():
         d_sep_m=50.0, r_vap_sigma_ns=0.5,
     )
     with pytest.raises(EmptyRegionError, match="empty quantum region"):
-        quantum_advantage(marginal, 1, "comparable", mc_outer=5_000, mc_inner=10_000)
+        quantum_advantage(marginal, 1, "comparable", mc_outer=5_000)
     shaky_d = TimingGeometry(
         s_vap_ns=1000.0, s_vb_ns=1000.0, r_vap_ns=2000.0, r_vb_ns=2000.0,
         d_sep_m=0.5, d_sep_sigma_m=0.3,
     )
     with pytest.raises(EmptyRegionError, match="separation"):
-        quantum_advantage(shaky_d, 1, "comparable", mc_outer=5_000, mc_inner=10_000)
+        quantum_advantage(shaky_d, 1, "comparable", mc_outer=5_000)
+
+
+def test_quantum_advantage_counts_unreachable_cap_as_empty():
+    # ellipse_ba = c * 300 ns = 89.94 m; d = 87.36 +- 1 m exceeds it in
+    # about 0.5% of draws, whose quantum region is empty although the
+    # disks overlap.
+    tight = TimingGeometry(
+        s_vap_ns=0.0, s_vb_ns=100.0, r_vap_ns=400.0, r_vb_ns=500.0,
+        d_sep_m=87.36, d_sep_sigma_m=1.0,
+    )
+    res = quantum_advantage(tight, 1, "comparable", mc_outer=20_000, seed=3)
+    assert 0.003 <= res.empty_fraction <= 0.007
+    assert res.samples.size == round(20_000 * (1.0 - res.empty_fraction))
 
 
 def test_quantum_advantage_validation(tg):
     with pytest.raises(ValueError):
-        quantum_advantage(tg, 4, "comparable", mc_outer=100, mc_inner=100)
+        quantum_advantage(tg, 4, "comparable", mc_outer=100)
     with pytest.raises(ValueError):
-        quantum_advantage(tg, 1, "best", mc_outer=100, mc_inner=100)
+        quantum_advantage(tg, 1, "best", mc_outer=100)
 
 
 def test_speed_of_light_constant():
