@@ -11,7 +11,7 @@ log of an affine slack, so gradients and Hessians are exact and cheap:
     grad = sum_j k_j a_j / s_j,      hess = -sum_j k_j a_j a_j^T / s_j^2.
 
 The central path uses k_j = t w_j + 1 with t increased geometrically; the
-suboptimality after the last stage is at most (number of rows) / t_max.  A
+suboptimality after the last stage is at most (number of rows) / 1e13.  A
 final polish step then switches to the plain objective: constraints whose
 slack collapsed along the path are pinned as equalities (Newton in the
 nullspace of their rows), interior optima get an unconstrained Newton
@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 _TOTAL_CAP = 100_000
+_T_MAX = 1e13
 
 
 class SmoothSolveError(RuntimeError):
@@ -78,7 +79,7 @@ def _newton_loop(x, slacks_fn, k, a, steps, tol, budget):
     return x, used
 
 
-def maximize_log_affine(weights, a, b, x0, t_max: float = 1e13):
+def maximize_log_affine(weights, a, b, x0):
     """Run the barrier path plus polish; returns the maximizer.
 
     weights, a, b describe the rows (see module docstring); x0 must be
@@ -103,9 +104,9 @@ def maximize_log_affine(weights, a, b, x0, t_max: float = 1e13):
         k = t * w + 1.0
         x, used = _newton_loop(x, slacks, k, a, steps=200, tol=1e-12, budget=budget)
         budget -= used
-        if t >= t_max or budget <= 0:
+        if t >= _T_MAX or budget <= 0:
             break
-        t = min(t * 20.0, t_max)
+        t = min(t * 20.0, _T_MAX)
 
     # Polish: drop the barrier.  Constraint rows whose slack collapsed along
     # the path are pinned as equalities (Newton in the nullspace of their

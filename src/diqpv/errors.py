@@ -11,8 +11,7 @@ class DegenerateDataError(DiqpvError):
 
 
 class LpStructureError(DiqpvError):
-    """A linear program that should be feasible and bounded is not, or its
-    verification resolve disagrees with the primary solve."""
+    """A linear program that should be feasible and bounded is not."""
 
 
 class CertificationError(DiqpvError):

@@ -79,15 +79,17 @@ class RegionSpec:
     d_sep: float
 
 
-def region_spec(tg: TimingGeometry, c: float = SPEED_OF_LIGHT_M_PER_NS) -> RegionSpec:
+def _region_lengths(s_vap, s_vb, r_vap, r_vb):
+    """(radius_a, radius_b, ellipse_ab, ellipse_ba) from times, scalars or arrays."""
+    c = SPEED_OF_LIGHT_M_PER_NS
+    return (c * (r_vap - s_vap) / 2.0, c * (r_vb - s_vb) / 2.0,
+            c * (r_vb - s_vap), c * (r_vap - s_vb))
+
+
+def region_spec(tg: TimingGeometry) -> RegionSpec:
     """Central-value region lengths from the timing geometry."""
-    return RegionSpec(
-        radius_a=c * (tg.r_vap_ns - tg.s_vap_ns) / 2.0,
-        radius_b=c * (tg.r_vb_ns - tg.s_vb_ns) / 2.0,
-        ellipse_ab=c * (tg.r_vb_ns - tg.s_vap_ns),
-        ellipse_ba=c * (tg.r_vap_ns - tg.s_vb_ns),
-        d_sep=tg.d_sep_m,
-    )
+    lengths = _region_lengths(tg.s_vap_ns, tg.s_vb_ns, tg.r_vap_ns, tg.r_vb_ns)
+    return RegionSpec(*lengths, d_sep=tg.d_sep_m)
 
 
 def _lengths(point, d_sep: float):
@@ -107,16 +109,11 @@ def quantum_lengths_ok(la, lb, spec: RegionSpec):
     return (la <= spec.radius_a) & (lb <= spec.radius_b) & (la + lb <= cap)
 
 
-def lens_a_ok(la, lb, spec: RegionSpec):
-    return (la <= spec.radius_a) & (la + lb <= spec.ellipse_ba)
-
-
-def lens_b_ok(la, lb, spec: RegionSpec):
-    return (lb <= spec.radius_b) & (la + lb <= spec.ellipse_ab)
-
-
 def classical_lengths_ok(la, lb, spec: RegionSpec):
-    return lens_a_ok(la, lb, spec) | lens_b_ok(la, lb, spec)
+    """Vectorized membership test of the lens union in (l_A, l_B)."""
+    lens_a = (la <= spec.radius_a) & (la + lb <= spec.ellipse_ba)
+    lens_b = (lb <= spec.radius_b) & (la + lb <= spec.ellipse_ab)
+    return lens_a | lens_b
 
 
 def point_in_quantum_region(point, spec: RegionSpec) -> bool:
@@ -248,18 +245,14 @@ class AdvantageResult:
     samples: np.ndarray
 
 
-def _draw_parameters(tg: TimingGeometry, n: int, seed: int, c: float):
+def _draw_parameters(tg: TimingGeometry, n: int, seed: int):
     rng = np.random.Generator(np.random.Philox(key=seed))
     s_vap = rng.normal(tg.s_vap_ns, tg.s_vap_sigma_ns, n)
     s_vb = rng.normal(tg.s_vb_ns, tg.s_vb_sigma_ns, n)
     r_vap = rng.normal(tg.r_vap_ns, tg.r_vap_sigma_ns, n)
     r_vb = rng.normal(tg.r_vb_ns, tg.r_vb_sigma_ns, n)
     d = rng.normal(tg.d_sep_m, tg.d_sep_sigma_m, n)
-    ra = c * (r_vap - s_vap) / 2.0
-    rb = c * (r_vb - s_vb) / 2.0
-    m_ab = c * (r_vb - s_vap)
-    m_ba = c * (r_vap - s_vb)
-    return ra, rb, m_ab, m_ba, d
+    return (*_region_lengths(s_vap, s_vb, r_vap, r_vb), d)
 
 
 def quantum_advantage(
@@ -268,7 +261,6 @@ def quantum_advantage(
     comparator: str = "comparable",
     mc_outer: int = 100_000,
     seed: int = 1,
-    c: float = SPEED_OF_LIGHT_M_PER_NS,
 ) -> AdvantageResult:
     """Ratio of classical to quantum target-region size under uncertainty.
 
@@ -284,7 +276,7 @@ def quantum_advantage(
         raise ValueError("dim must be 1, 2, or 3")
     if comparator not in ("ideal", "comparable"):
         raise ValueError("comparator must be 'ideal' or 'comparable'")
-    ra, rb, m_ab, m_ba, d = _draw_parameters(tg, mc_outer, seed, c)
+    ra, rb, m_ab, m_ba, d = _draw_parameters(tg, mc_outer, seed)
     if (d <= 0).any():
         raise EmptyRegionError("separation draw crossed zero; uncertainties too large")
     # Separation-scaled parameters; the ratio is scale invariant.

@@ -8,16 +8,20 @@ b, bp held by the two adversary stations.
 
 The polytopes are kept in H-form (equalities, inequalities, box bounds) and
 queried through linear programming; no vertex catalogs are enumerated at
-runtime.  Every maximum (max_linear) is solved twice, by dual simplex and
-by interior point, and the two optima must agree to 1e-9 relative; this is
-the weak-duality cross-check for each reported value.  The largest
+runtime.  Every maximum (max_linear) is one dual simplex solve whose
+reported value is not the solver's optimum but an exact weak-duality upper
+bound built from that solve's own duals (_dual_bound), so a float solver
+error can loosen the bound but never make it too small.  The largest
 admissible shift of an objective (max_shift_within) is one dual simplex
-solve; its callers certify the result with max_linear.
+solve and proves nothing by itself; the shifted objective is certified by
+max_linear's exact bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -67,12 +71,6 @@ class HPolytope:
         if self.a_ub.size:
             parts.append(float((self.a_ub @ x - self.b_ub).max(initial=0.0)))
         return max(parts)
-
-
-def _unit(shape, *index) -> np.ndarray:
-    row = np.zeros(shape, dtype=np.float64)
-    row[index] = 1.0
-    return row
 
 
 def correlator_rows() -> np.ndarray:
@@ -226,43 +224,48 @@ _TIGHT = {
 }
 
 
-def max_linear(c, poly: HPolytope, verify: bool = True) -> tuple[float, np.ndarray]:
-    """Maximize c . x over poly; returns (optimum, maximizer).
+def max_linear(c, poly: HPolytope) -> tuple[float, np.ndarray]:
+    """Maximize c . x over poly; returns (bound, maximizer).
 
-    Solved by dual simplex; with verify=True an interior-point resolve must
-    reproduce the optimum to 1e-9 relative or LpStructureError is raised.
-    Infeasible or unbounded programs also raise LpStructureError.
+    One dual simplex solve.  bound is _dual_bound at that solve's row
+    duals: a proven upper bound on the maximum, above the simplex optimum
+    by at most the duals' float error.  Infeasible or unbounded programs
+    raise LpStructureError.
     """
     c = np.asarray(c, dtype=np.float64).reshape(-1)
     if c.shape != (poly.dim,):
         raise ValueError(f"objective has {c.size} entries, polytope has {poly.dim}")
-    kwargs = dict(
-        c=-c,
-        A_eq=poly.a_eq if poly.a_eq.size else None,
-        b_eq=poly.b_eq if poly.a_eq.size else None,
-        A_ub=poly.a_ub if poly.a_ub.size else None,
-        b_ub=poly.b_ub if poly.a_ub.size else None,
-        bounds=(0.0, 1.0),
+    res = linprog(
+        -c, A_ub=poly.a_ub, b_ub=poly.b_ub, A_eq=poly.a_eq, b_eq=poly.b_eq,
+        bounds=(0.0, 1.0), method="highs-ds", options=_TIGHT,
     )
-    res = linprog(method="highs-ds", options=_TIGHT, **kwargs)
     if res.status != 0:
         raise LpStructureError(f"{poly.name}: LP status {res.status} ({res.message})")
-    value = -res.fun
-    if verify:
-        res2 = linprog(
-            method="highs-ipm",
-            options={**_TIGHT, "ipm_optimality_tolerance": 1e-12},
-            **kwargs,
-        )
-        if res2.status != 0:
-            raise LpStructureError(
-                f"{poly.name}: verification resolve status {res2.status}"
-            )
-        if abs(-res2.fun - value) > 1e-9 * max(1.0, abs(value)):
-            raise LpStructureError(
-                f"{poly.name}: optima disagree ({value!r} vs {-res2.fun!r})"
-            )
-    return float(value), res.x
+    # linprog minimizes -c . x, so its marginals are the negated duals.
+    return _dual_bound(c, poly, -res.eqlin.marginals, -res.ineqlin.marginals), res.x
+
+
+def _dual_bound(c, poly: HPolytope, y, z) -> float:
+    """Exact weak-duality bound on max c . x over poly from any duals y, z.
+
+    With z clipped to z >= 0 and the box duals repaired to
+    u = max(0, c - A_eq^T y - A_ub^T z), the point (y, z, u) is dual
+    feasible, so b_eq . y + b_ub . z + sum u >= c . x for every x in poly
+    (Neumaier & Shcherbina, Math. Prog. 99, 2004).  Every float is an exact
+    rational, so the sum is formed in fractions.Fraction and rounded up.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    z = np.maximum(np.asarray(z, dtype=np.float64), 0.0)
+    if y.shape != poly.b_eq.shape or z.shape != poly.b_ub.shape:
+        raise ValueError("need one dual per equality row and per inequality row")
+    duals = [Fraction(v) for v in np.concatenate([y, z]).tolist()]
+    rhs = np.concatenate([poly.b_eq, poly.b_ub]).tolist()
+    total = sum((Fraction(b) * d for b, d in zip(rhs, duals) if b), Fraction(0))
+    for cj, col in zip(c.tolist(), np.vstack([poly.a_eq, poly.a_ub]).T.tolist(), strict=True):
+        u = Fraction(cj) - sum((Fraction(a) * d for a, d in zip(col, duals) if a), Fraction(0))
+        total += max(u, 0)
+    bound = float(total)
+    return bound if Fraction(bound) >= total else math.nextafter(bound, math.inf)
 
 
 def max_shift_within(c0, c1, poly: HPolytope, bound: float, t_max: float) -> float | None:
@@ -274,6 +277,8 @@ def max_shift_within(c0, c1, poly: HPolytope, bound: float, t_max: float) -> flo
     strong duality makes that bound tight; so t is admissible exactly when
     some dual point keeps the bound <= bound, and the LP maximizes t over
     (t, y, z, u) jointly.  Returns None when no t in range is admissible.
+    t is a float optimum, not a proof: callers certify c0 + t c1 with
+    max_linear, whose bound is exact.
     """
     c0 = np.asarray(c0, dtype=np.float64).reshape(-1)
     c1 = np.asarray(c1, dtype=np.float64).reshape(-1)

@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import (
     AnalysisAbort,
@@ -188,7 +188,7 @@ def z_for_epsilon(epsilon: float) -> float:
     for eps, z in _EXACT_Z.items():
         if abs(epsilon - eps) <= 1e-6:
             return z
-    return float(norm.ppf(epsilon))
+    return NormalDist().inv_cdf(epsilon)
 
 
 def p_succ(n: int, g: float, v: float, delta: float) -> float:

@@ -81,8 +81,9 @@ class TestFactor:
     matched[ma, mp, oa, z] applies to cells with zqa = zqb = z; every
     za != zb cell takes the mismatch constant.  nu is the settings
     distribution the certification was run against.  cert_margin stores
-    1 - (LP maximum of the expected factor); construction fails unless it
-    is >= -1e-8.
+    1 - (exact dual bound on the expected factor, see certify); a factor
+    on the NS3 facet reads a few ulp negative.  Construction fails unless
+    cert_margin >= -CERT_SLACK.
     """
 
     matched: np.ndarray
@@ -103,7 +104,7 @@ class TestFactor:
         worst, _ = certify(m, self.mismatch, nu)
         if worst > 1.0 + CERT_SLACK:
             raise CertificationError(
-                f"adversarial expectation {worst!r} exceeds 1 + {CERT_SLACK}"
+                f"adversarial expectation bound {worst!r} exceeds 1 + {CERT_SLACK}"
             )
         object.__setattr__(self, "cert_margin", 1.0 - worst)
 
@@ -123,16 +124,17 @@ class TestFactor:
         return float(min(self.matched.min(), self.mismatch))
 
 
-def certify(matched, mismatch: float, nu, verify: bool = True):
-    """LP maximum of the expected factor over the no-signaling adversaries.
+def certify(matched, mismatch: float, nu):
+    """Proven bound on the expected factor over the no-signaling adversaries.
 
-    Returns (max expectation, maximizing behavior).  The objective weights
-    only the slices where the two challenge bits agree; the polytope
-    constraints cover all input combinations.
+    Returns (bound, maximizing behavior): one LP (max_linear), whose bound
+    is an exact weak-duality bound, at or just above the LP maximum.  The
+    objective weights only the slices where the two challenge bits agree;
+    the polytope constraints cover all input combinations.
     """
     c = _expected_factor_objective(matched, mismatch, settings_weights(nu))
-    value, mu = max_linear(c, _NS3, verify=verify)
-    return value, mu.reshape(2, 2, 2, 2, 2, 2)
+    bound, mu = max_linear(c, _NS3)
+    return bound, mu.reshape(2, 2, 2, 2, 2, 2)
 
 
 def _expected_factor_objective(matched, mismatch: float, nu) -> np.ndarray:

@@ -100,7 +100,8 @@ def test_c04_planned_runtimes(golden_factor, golden_sigma3, nu_uniform):
 
 def test_c05_certification_under_perturbation(golden_counts, golden_factor, nu_uniform):
     rng = np.random.Generator(np.random.Philox(key=1105))
-    # cert_margin stores 1 - (LP max of the adversarial expectation)
+    # cert_margin stores 1 - (exact weak-duality bound on the adversarial
+    # expectation, from the one certification LP's duals)
     expectations = [1.0 - golden_factor.cert_margin]
     violating = 0
     for _ in range(50):
@@ -218,7 +219,7 @@ def test_c10_structural_invariants(golden_factor, golden_sigma3, nu_uniform):
     ns3 = ns3_polytope()
     points = []
     for _ in range(8):
-        _, mu = max_linear(rng.standard_normal(64), ns3, verify=False)
+        _, mu = max_linear(rng.standard_normal(64), ns3)
         points.append(np.asarray(mu).reshape((2,) * 6))
     for _ in range(2):
         w = rng.dirichlet(np.ones(len(points) + 1))

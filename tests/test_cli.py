@@ -99,6 +99,16 @@ def _assert_prints_version(proc):
     assert proc.stdout.strip() == f"diqpv {__version__}"
 
 
+def test_cli_import_leaves_out_scipy_stats():
+    package_parent = str(Path(diqpv.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, diqpv.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=package_parent))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_script_entry_point(tmp_path):
     # An installed command is checked as it stands.  This half runs first
     # so that it still runs where no TOML parser can be imported.

@@ -1,7 +1,12 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+import diqpv.polytopes
 from diqpv.errors import LpStructureError
+from diqpv.estimation import ml_fit_quantum
 from diqpv.polytopes import (
     CHSH_SIGNS,
     TSIRELSON,
@@ -18,6 +23,9 @@ from diqpv.polytopes import (
     two_party_marginal,
     uniform_ns3,
 )
+from diqpv.polytopes import _dual_bound
+from diqpv.testfactor import _expected_factor_objective, assemble_robust, build_wlr, lambda_max
+from diqpv.trialdata import CountsTable
 
 from oracles import chsh_oracle, lr_member_oracle, lr_vertex_catalog, ns2_vertex_catalog
 
@@ -156,6 +164,51 @@ def test_max_linear_validates_and_verifies(rng):
     assert val == pytest.approx((cat @ c).max(), abs=1e-8)
 
 
+def test_max_linear_bound_is_valid(golden_counts, golden_factor, nu_uniform, monkeypatch):
+    """The returned bound is proven and tight: c . x <= bound <= c . x + 1e-12
+    at the returned maximizer x, on factor objectives, random objectives and
+    the eight CHSH rows over the capped quantum set (inequality duals)."""
+    ns3, quantum = ns3_polytope(), quantum_set()
+    factors = [golden_factor]
+    rng = np.random.Generator(np.random.Philox(key=1105))
+    for _ in range(10):
+        jitter = np.exp(rng.normal(0.0, 0.05, size=golden_counts.table.shape))
+        pert = CountsTable(rng.poisson(golden_counts.table * jitter).astype(np.float64))
+        wlr = build_wlr(ml_fit_quantum(pert), nu_uniform)
+        factors.append(assemble_robust(wlr, lambda_max(wlr, nu_uniform), nu_uniform))
+    cases = [(ns3, _expected_factor_objective(tf.matched, tf.mismatch, tf.nu)) for tf in factors]
+    cases += [(ns3, rng.standard_normal(64)) for _ in range(20)]
+    cases += [(quantum, chsh_row(signs)) for signs in CHSH_SIGNS]
+
+    solves = []
+    original = diqpv.polytopes.linprog
+
+    def recorded(*args, **kwargs):
+        solves.append(original(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(diqpv.polytopes, "linprog", recorded)
+    for poly, c in cases:
+        bound, x = max_linear(c, poly)
+        value = float(c @ x)
+        assert value <= bound <= value + 1e-12
+        # Weak duality holds for any duals, not just the optimal ones.
+        res = solves[-1]
+        y = -res.eqlin.marginals + rng.normal(0.0, 1e-3, poly.a_eq.shape[0])
+        z = np.maximum(-res.ineqlin.marginals + rng.normal(0.0, 1e-3, poly.a_ub.shape[0]), 0.0)
+        assert _dual_bound(c, poly, y, z) >= value
+
+    # Zero duals leave only the box duals: sum max(0, c_j), rounded up.
+    for c in (c for poly, c in cases if poly is ns3):
+        exact = sum(Fraction(v) for v in c.tolist() if v > 0)
+        bound = _dual_bound(c, ns3, np.zeros(56), np.zeros(0))
+        assert Fraction(bound) >= exact > Fraction(math.nextafter(bound, -math.inf))
+    dyadic = rng.integers(-8, 9, 64) / 8.0
+    assert _dual_bound(dyadic, ns3, np.zeros(56), np.zeros(0)) == dyadic.clip(0.0).sum()
+    with pytest.raises(ValueError):  # a dropped column would drop its repair term
+        _dual_bound(dyadic[:-1], ns3, np.zeros(56), np.zeros(0))
+
+
 def test_prover_swap_involution(rng):
     mu = rng.random((2, 2, 2, 2, 2, 2))
     assert np.array_equal(prover_swap(prover_swap(mu)), mu)
@@ -167,7 +220,7 @@ def test_two_party_marginal_independent_of_bp():
     rng = np.random.Generator(np.random.Philox(key=3))
     for _ in range(10):
         c = rng.standard_normal(64)
-        _, mu = max_linear(c, ns3, verify=False)
+        _, mu = max_linear(c, ns3)
         m0 = two_party_marginal(mu, bp=0)
         m1 = two_party_marginal(mu, bp=1)
         assert np.abs(m0 - m1).max() <= 1e-7
@@ -183,7 +236,7 @@ def test_symmetric_extensions_have_local_marginals():
     points = []
     for _ in range(60):
         c = rng.standard_normal(64)
-        _, mu = max_linear(c, ns3, verify=False)
+        _, mu = max_linear(c, ns3)
         points.append(mu.reshape(2, 2, 2, 2, 2, 2))
     for _ in range(40):
         w = rng.dirichlet(np.ones(12))

@@ -178,6 +178,13 @@ def test_z_for_epsilon_exact_and_generic():
         z_for_epsilon(1.0)
 
 
+def test_z_for_epsilon_matches_scipy_quantile():
+    norm = pytest.importorskip("scipy.stats").norm
+    grid = np.concatenate([np.linspace(0.01, 0.99, 99), [1e-6, 1e-3, 0.999, 0.99999, 0.999999]])
+    for epsilon in grid:
+        assert z_for_epsilon(epsilon) == pytest.approx(norm.ppf(epsilon), abs=1e-13)
+
+
 def test_p_succ_boundaries():
     # n g exactly at the threshold puts the CLT success at one half.
     assert p_succ(10, 1.0, 1.0, 2**-10) == pytest.approx(0.5, abs=1e-15)

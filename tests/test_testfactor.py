@@ -113,7 +113,7 @@ def test_lambda_max_matches_bisection_oracle(golden_counts, golden_wlr, nu_unifo
             assert certify(table, lam + 1e-7, nu_uniform)[0] > 1.0
 
 
-def test_lambda_max_is_one_lp(golden_wlr, nu_uniform, monkeypatch):
+def _count_linprog(monkeypatch):
     calls = []
     original = diqpv.polytopes.linprog
 
@@ -122,8 +122,21 @@ def test_lambda_max_is_one_lp(golden_wlr, nu_uniform, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(diqpv.polytopes, "linprog", counted)
+    return calls
+
+
+def test_lambda_max_is_one_lp(golden_wlr, nu_uniform, monkeypatch):
+    calls = _count_linprog(monkeypatch)
     lambda_max(golden_wlr, nu_uniform)
     assert len(calls) == 1
+
+
+def test_certify_is_one_lp(golden_wlr, golden_lambda, golden_factor, nu_uniform, monkeypatch):
+    calls = _count_linprog(monkeypatch)
+    certify(golden_factor.matched, golden_factor.mismatch, nu_uniform)
+    assert len(calls) == 1
+    assemble_robust(golden_wlr, golden_lambda, nu_uniform)
+    assert len(calls) == 2
 
 
 def test_build_wlr_pins_zero_weight_cells(nu_uniform):
