@@ -8,13 +8,12 @@ b, bp held by the two adversary stations.
 
 The polytopes are kept in H-form (equalities, inequalities, box bounds) and
 queried through linear programming; no vertex catalogs are enumerated at
-runtime.  Every maximum (max_linear) is one dual simplex solve whose
-reported value is not the solver's optimum but an exact weak-duality upper
-bound built from that solve's own duals (_dual_bound), so a float solver
-error can loosen the bound but never make it too small.  The largest
-admissible shift of an objective (max_shift_within) is one dual simplex
-solve and proves nothing by itself; the shifted objective is certified by
-max_linear's exact bound.
+runtime.  A certificate is a vector of row duals, which _dual_bound turns
+into an exact weak-duality upper bound on the maximum of an objective
+(floats or exact Fractions), so a float solver error can loosen a bound
+but never make it too small.  Each solve is one dual simplex run that
+returns its duals as such a certificate: max_linear for a maximum,
+max_shift_within for the largest admissible shift of an objective.
 """
 
 from __future__ import annotations
@@ -224,51 +223,53 @@ _TIGHT = {
 }
 
 
-def max_linear(c, poly: HPolytope) -> tuple[float, np.ndarray]:
-    """Maximize c . x over poly; returns (bound, maximizer).
+def max_linear(c, poly: HPolytope) -> tuple[float, np.ndarray, np.ndarray]:
+    """Maximize c . x over poly; returns (bound, maximizer, duals).
 
-    One dual simplex solve.  bound is _dual_bound at that solve's row
-    duals: a proven upper bound on the maximum, above the simplex optimum
-    by at most the duals' float error.  Infeasible or unbounded programs
-    raise LpStructureError.
+    One dual simplex solve.  bound is _dual_bound at its row duals: a
+    proven upper bound on the maximum, above the simplex optimum by at most
+    the duals' float error.  Infeasible or unbounded programs raise
+    LpStructureError.
     """
-    c = np.asarray(c, dtype=np.float64).reshape(-1)
-    if c.shape != (poly.dim,):
-        raise ValueError(f"objective has {c.size} entries, polytope has {poly.dim}")
+    c_float = np.asarray(c, dtype=np.float64).reshape(-1)
+    if c_float.shape != (poly.dim,):
+        raise ValueError(f"objective has {c_float.size} entries, polytope has {poly.dim}")
     res = linprog(
-        -c, A_ub=poly.a_ub, b_ub=poly.b_ub, A_eq=poly.a_eq, b_eq=poly.b_eq,
+        -c_float, A_ub=poly.a_ub, b_ub=poly.b_ub, A_eq=poly.a_eq, b_eq=poly.b_eq,
         bounds=(0.0, 1.0), method="highs-ds", options=_TIGHT,
     )
     if res.status != 0:
         raise LpStructureError(f"{poly.name}: LP status {res.status} ({res.message})")
     # linprog minimizes -c . x, so its marginals are the negated duals.
-    return _dual_bound(c, poly, -res.eqlin.marginals, -res.ineqlin.marginals), res.x
+    duals = -np.concatenate([res.eqlin.marginals, res.ineqlin.marginals])
+    return _dual_bound(c, poly, duals), res.x, duals
 
 
-def _dual_bound(c, poly: HPolytope, y, z) -> float:
-    """Exact weak-duality bound on max c . x over poly from any duals y, z.
+def _dual_bound(c, poly: HPolytope, duals) -> float:
+    """Exact weak-duality bound on max c . x over poly from any row duals.
 
-    With z clipped to z >= 0 and the box duals repaired to
-    u = max(0, c - A_eq^T y - A_ub^T z), the point (y, z, u) is dual
-    feasible, so b_eq . y + b_ub . z + sum u >= c . x for every x in poly
-    (Neumaier & Shcherbina, Math. Prog. 99, 2004).  Every float is an exact
-    rational, so the sum is formed in fractions.Fraction and rounded up.
+    duals holds y (equality rows) then z (inequality rows).  With z clipped
+    to z >= 0 and the box duals repaired to u = max(0, c - A_eq^T y -
+    A_ub^T z), (y, z, u) is dual feasible, so b_eq . y + b_ub . z + sum u
+    >= c . x on poly (Neumaier & Shcherbina, Math. Prog. 99, 2004).  The
+    sum is formed exactly in fractions.Fraction and rounded up.
     """
-    y = np.asarray(y, dtype=np.float64)
-    z = np.maximum(np.asarray(z, dtype=np.float64), 0.0)
-    if y.shape != poly.b_eq.shape or z.shape != poly.b_ub.shape:
+    duals = np.array(duals, dtype=np.float64)
+    if duals.shape != (poly.b_eq.size + poly.b_ub.size,):
         raise ValueError("need one dual per equality row and per inequality row")
-    duals = [Fraction(v) for v in np.concatenate([y, z]).tolist()]
+    duals[poly.b_eq.size:] = np.maximum(duals[poly.b_eq.size:], 0.0)
+    duals = [Fraction(v) for v in duals.tolist()]
     rhs = np.concatenate([poly.b_eq, poly.b_ub]).tolist()
     total = sum((Fraction(b) * d for b, d in zip(rhs, duals) if b), Fraction(0))
-    for cj, col in zip(c.tolist(), np.vstack([poly.a_eq, poly.a_ub]).T.tolist(), strict=True):
+    cols = np.vstack([poly.a_eq, poly.a_ub]).T.tolist()
+    for cj, col in zip(np.asarray(c).reshape(-1).tolist(), cols, strict=True):
         u = Fraction(cj) - sum((Fraction(a) * d for a, d in zip(col, duals) if a), Fraction(0))
         total += max(u, 0)
     bound = float(total)
     return bound if Fraction(bound) >= total else math.nextafter(bound, math.inf)
 
 
-def max_shift_within(c0, c1, poly: HPolytope, bound: float, t_max: float) -> float | None:
+def max_shift_within(c0, c1, poly: HPolytope, bound: float, t_max: float):
     """Largest t in [0, t_max] with max over poly of (c0 + t c1) . x <= bound.
 
     One LP over the dual of max_linear's program.  A dual point (y, z, u)
@@ -276,9 +277,8 @@ def max_shift_within(c0, c1, poly: HPolytope, bound: float, t_max: float) -> flo
     primal maximum by b_eq . y + b_ub . z + sum u (weak duality), and
     strong duality makes that bound tight; so t is admissible exactly when
     some dual point keeps the bound <= bound, and the LP maximizes t over
-    (t, y, z, u) jointly.  Returns None when no t in range is admissible.
-    t is a float optimum, not a proof: callers certify c0 + t c1 with
-    max_linear, whose bound is exact.
+    (t, y, z, u) jointly.  Returns (t, row duals (y, z)), a certificate for
+    c0 + t c1, or None when no t in range is admissible.
     """
     c0 = np.asarray(c0, dtype=np.float64).reshape(-1)
     c1 = np.asarray(c1, dtype=np.float64).reshape(-1)
@@ -305,34 +305,7 @@ def max_shift_within(c0, c1, poly: HPolytope, bound: float, t_max: float) -> flo
         return None
     if res.status != 0:
         raise LpStructureError(f"{poly.name}: dual LP status {res.status} ({res.message})")
-    return float(res.x[-1])
-
-
-def lr_distance(sigma) -> float:
-    """Sup-norm distance from sigma to the local deterministic hull."""
-    target = np.asarray(sigma, dtype=np.float64).reshape(16)
-    verts = lr_vertices().reshape(16, 16)
-    # Variables: 16 mixture weights and the distance t.
-    n = 17
-    a_ub = np.zeros((32, n))
-    b_ub = np.zeros(32)
-    a_ub[:16, :16] = verts.T
-    a_ub[:16, 16] = -1.0
-    b_ub[:16] = target
-    a_ub[16:, :16] = -verts.T
-    a_ub[16:, 16] = -1.0
-    b_ub[16:] = -target
-    a_eq = np.zeros((1, n))
-    a_eq[0, :16] = 1.0
-    c = np.zeros(n)
-    c[16] = 1.0
-    res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-        bounds=[(0, None)] * 16 + [(0, None)], method="highs-ds",
-    )
-    if res.status != 0:
-        raise LpStructureError(f"lr membership LP status {res.status} ({res.message})")
-    return float(res.fun)
+    return float(res.x[-1]), res.x[:m]
 
 
 def prover_swap(mu) -> np.ndarray:

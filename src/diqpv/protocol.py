@@ -456,7 +456,8 @@ def calibrate(counts: CountsTable, nu, mismatch_d: float, meta: dict | None = No
     sigma = ml_fit_quantum(counts)
     sigma3 = regularize(sigma, mismatch_d)
     wlr = build_wlr(sigma, nu)
-    factor = assemble_robust(wlr, lambda_max(wlr, nu), nu, meta=meta)
+    lam, duals = lambda_max(wlr, nu)
+    factor = assemble_robust(wlr, lam, nu, meta=meta, duals=duals)
     return Calibration(sigma, sigma3, factor)
 
 

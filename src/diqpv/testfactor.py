@@ -3,20 +3,21 @@
 A test factor assigns a nonnegative value w to every reduced-record cell
 such that any allowed adversary strategy has expected value at most 1 per
 trial; products of factors across trials then form an e-value.  The
-allowed strategies here are the three-party no-signaling behaviors, and
-certification is the LP maximum of the expected factor over that polytope
-(challenge bits agree on the objective slices; constraints span all input
-combinations).  Factors are symmetric under exchange of the two reported
-prover outcomes by construction: matched cells depend on the common
-outcome only, and all mismatch cells share one constant.
+allowed strategies here are the three-party no-signaling behaviors, and a
+factor is certified by exactly checked duals of the LP maximum of the
+expected factor over that polytope (challenge bits agree on the objective
+slices; constraints span all input combinations).  Factors are symmetric
+under exchange of the two reported prover outcomes by construction:
+matched cells depend on the common outcome only, and all mismatch cells
+share one constant.
 
 Construction pipeline: a matched-sector factor is fitted against the
 local-deterministic strategies by maximizing the expected log factor
 (prediction-based-ratio form), the mismatch constant is the largest
 certifiable value, read from one LP over the dual of the certification
-LP (the expected factor is affine in the constant), and the assembled
-factor can then be rescaled, mixed toward unity, or discounted for
-entanglement accounting, each transform preserving certification.
+LP (the expected factor is affine in the constant) whose duals certify
+the factor, which can then be rescaled, mixed toward unity, or discounted
+for entanglement accounting, each transform mapping the duals along.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -36,7 +38,8 @@ from .estimation import (
     cell_probabilities,
 )
 from .polytopes import (
-    lr_distance,
+    _dual_bound,
+    chsh_values,
     lr_vertices,
     max_linear,
     max_shift_within,
@@ -46,8 +49,13 @@ from .trialdata import settings_weights
 
 _NS3 = ns3_polytope()
 
-LR_MEMBERSHIP_TOL = 1e-9
-CERT_SLACK = 1e-8
+# Fine (PRL 48, 291 (1982)): a no-signaling behavior here is local iff all
+# CHSH values are <= 2; an excess e is within sup-norm e/2 of the local hull.
+LOCAL_CHSH_TOL = 2e-9
+
+# A certificate's exact bound may exceed 1 by the float error of its duals
+# (about 1e-15); up to this excess it is divided out, beyond it is an error.
+ROUNDING_EXCESS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,13 +73,8 @@ class MatchedFactor:
     gain: float
     lr_violating: bool
 
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.float64)
-        if t.shape != (2, 2, 2, 2):
-            raise ValueError("factor table must have shape (2, 2, 2, 2)")
-        if (t < 0).any():
-            raise ValueError("factor values must be nonnegative")
-        object.__setattr__(self, "table", t)
+    def __post_init__(self):  # lambda_max and assemble_robust check the values
+        object.__setattr__(self, "table", np.asarray(self.table, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -80,33 +83,31 @@ class TestFactor:
 
     matched[ma, mp, oa, z] applies to cells with zqa = zqb = z; every
     za != zb cell takes the mismatch constant.  nu is the settings
-    distribution the certification was run against.  cert_margin stores
-    1 - (exact dual bound on the expected factor, see certify); a factor
-    on the NS3 facet reads a few ulp negative.  Construction fails unless
-    cert_margin >= -CERT_SLACK.
+    distribution the certification was run against.  Construction only
+    checks (certified_factor finds a certificate): CertificationError
+    unless the NS3 row duals y and scale s give _dual_bound(s c, y) <= s
+    for the exact objective c; cert_margin = 1 - bound / s >= 0.
     """
 
     matched: np.ndarray
     mismatch: float
     nu: np.ndarray
+    duals: np.ndarray
     cert_margin: float = field(init=False)
+    scale: float = 1.0
     meta: dict | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matched, dtype=np.float64)
-        if m.shape != (2, 2, 2, 2):
-            raise ValueError("matched table must have shape (2, 2, 2, 2)")
-        if (m < 0).any() or self.mismatch < 0:
-            raise ValueError("factor values must be nonnegative")
         nu = settings_weights(self.nu)
+        c = Fraction(self.scale) * _expected_factor_objective(m, self.mismatch, nu)
+        bound = _dual_bound(c, _NS3, self.duals)
+        if not (self.scale > 0 and bound <= self.scale):
+            raise CertificationError(f"certified bound {bound!r} / scale {self.scale!r} exceeds 1")
         object.__setattr__(self, "matched", m)
         object.__setattr__(self, "nu", nu)
-        worst, _ = certify(m, self.mismatch, nu)
-        if worst > 1.0 + CERT_SLACK:
-            raise CertificationError(
-                f"adversarial expectation bound {worst!r} exceeds 1 + {CERT_SLACK}"
-            )
-        object.__setattr__(self, "cert_margin", 1.0 - worst)
+        object.__setattr__(self, "duals", np.array(self.duals, dtype=np.float64))
+        object.__setattr__(self, "cert_margin", 1.0 - bound / self.scale)
 
     def full_table(self) -> np.ndarray:
         """Factor over all 32 cells, axes (mqa, oqa, mqp, zqa, zqb)."""
@@ -127,28 +128,50 @@ class TestFactor:
 def certify(matched, mismatch: float, nu):
     """Proven bound on the expected factor over the no-signaling adversaries.
 
-    Returns (bound, maximizing behavior): one LP (max_linear), whose bound
-    is an exact weak-duality bound, at or just above the LP maximum.  The
-    objective weights only the slices where the two challenge bits agree;
-    the polytope constraints cover all input combinations.
+    Returns (bound, maximizing behavior, duals): one LP (max_linear), whose
+    bound is exact at its duals, at or just above the LP maximum.
     """
     c = _expected_factor_objective(matched, mismatch, settings_weights(nu))
-    bound, mu = max_linear(c, _NS3)
-    return bound, mu.reshape(2, 2, 2, 2, 2, 2)
+    bound, mu, duals = max_linear(c, _NS3)
+    return bound, mu.reshape(2, 2, 2, 2, 2, 2), duals
 
 
 def _expected_factor_objective(matched, mismatch: float, nu) -> np.ndarray:
-    """Expected factor as a linear objective over the 64 NS3 variables.
+    """Expected factor as an exact linear objective over the 64 NS3 variables.
 
-    Only the slices where the two challenge bits agree carry weight; the
-    objective is linear in (matched, mismatch).
+    Entries are exact Fraction products nu * w (solvers see their float
+    rounding).  Only the slices where the two challenge bits agree carry
+    weight; the objective is linear in (matched, mismatch).  ValueError
+    unless matched has shape (2, 2, 2, 2) and no value is negative.
     """
     matched = np.asarray(matched, dtype=np.float64)
-    c = np.zeros((2, 2, 2, 2, 2, 2))
+    if matched.shape != (2, 2, 2, 2):
+        raise ValueError("matched table must have shape (2, 2, 2, 2)")
+    if (matched < 0).any() or mismatch < 0:
+        raise ValueError("factor values must be nonnegative")
+    c = np.full((2, 2, 2, 2, 2, 2), Fraction(0), dtype=object)
     for ma, b, oa, za, zb in product(range(2), repeat=5):
         w = matched[ma, b, oa, za] if za == zb else mismatch
-        c[ma, b, b, oa, za, zb] = nu[ma, b] * w
+        c[ma, b, b, oa, za, zb] = Fraction(nu[ma, b]) * Fraction(w)
     return c.reshape(64)
+
+
+def certified_factor(matched, mismatch: float, nu, duals=None, meta=None) -> TestFactor:
+    """The factor certified by NS3 row duals (one certify LP finds them if None).
+
+    An exact bound b in (1, 1 + ROUNDING_EXCESS] is divided out, rounded
+    toward 0, so (duals, scale b) holds exactly; a larger b is an error.
+    """
+    nu = settings_weights(nu)
+    if duals is None:
+        duals = certify(matched, mismatch, nu)[2]
+    bound = _dual_bound(_expected_factor_objective(matched, mismatch, nu), _NS3, duals)
+    if bound > 1.0 + ROUNDING_EXCESS:
+        raise CertificationError(f"certified bound {bound!r} exceeds 1")
+    if bound > 1.0:
+        matched = np.nextafter(np.asarray(matched) / bound, 0.0)
+        mismatch = math.nextafter(mismatch / bound, 0.0)
+    return TestFactor(matched, mismatch, nu, duals, scale=max(bound, 1.0), meta=meta)
 
 
 def _vertex_constraint_rows(nu) -> np.ndarray:
@@ -157,9 +180,7 @@ def _vertex_constraint_rows(nu) -> np.ndarray:
     Row v dotted with a flattened matched table gives the strategy's
     expected factor; certifiability against the local hull is rows <= 1.
     """
-    verts = lr_vertices()
-    nu4 = nu[:, :, None, None]
-    return (verts * nu4).reshape(16, 16)
+    return (lr_vertices() * nu[:, :, None, None]).reshape(16, 16)
 
 
 def build_wlr(sigma_match: ConditionalDistribution2, nu) -> MatchedFactor:
@@ -167,14 +188,15 @@ def build_wlr(sigma_match: ConditionalDistribution2, nu) -> MatchedFactor:
 
     Maximizes sum nu sigma log W subject to W >= 0 and expected factor at
     most 1 under every deterministic strategy.  A calibration behavior
-    inside the local hull yields the unity factor flagged non-violating.
+    inside the local hull (by Fine's criterion, see LOCAL_CHSH_TOL) yields
+    the unity factor flagged non-violating.
     Cells carrying no calibration weight are pinned to 0, the choice that
     maximizes the achievable mismatch constant, unless raising them to 1
     is feasible and leaves the constant unchanged (ties go to 1).
     """
     nu = settings_weights(nu)
     sig = sigma_match.table
-    if lr_distance(sig) <= LR_MEMBERSHIP_TOL:
+    if chsh_values(sig).max() <= 2.0 + LOCAL_CHSH_TOL:
         return MatchedFactor(np.ones((2, 2, 2, 2)), 0.0, False)
 
     p = (nu[:, :, None, None] * sig).reshape(16)
@@ -209,57 +231,55 @@ def _pin_free_cells(table, support, rows, nu) -> np.ndarray:
     raised = table.copy()
     raised[~support] = 1.0
     if (rows @ raised <= 1.0 + 1e-12).all():
-        base = lambda_max_table(table.reshape(2, 2, 2, 2), nu)
-        alt = lambda_max_table(raised.reshape(2, 2, 2, 2), nu)
+        base, _ = lambda_max_table(table.reshape(2, 2, 2, 2), nu)
+        alt, _ = lambda_max_table(raised.reshape(2, 2, 2, 2), nu)
         if alt >= base - 1e-9:
             return raised
     return table
 
 
-def lambda_max(wlr: MatchedFactor, nu) -> float:
-    """Largest certifiable mismatch constant for a matched factor."""
+def lambda_max(wlr: MatchedFactor, nu) -> tuple[float, np.ndarray]:
+    """Largest certifiable mismatch constant for a matched factor, with its duals."""
     return lambda_max_table(wlr.table, nu)
 
 
-def lambda_max_table(table: np.ndarray, nu) -> float:
+def lambda_max_table(table: np.ndarray, nu) -> tuple[float, np.ndarray]:
     """Largest lambda with adversarial expectation <= 1, from one dual LP.
 
     The expected factor is c0 + lambda c1 (c0 the matched part, c1 the
     mismatch part), so the largest certifiable lambda in [0, 10] is one LP
     over the dual of certify's program (polytopes.max_shift_within).  The
     expectation is at least lambda itself (an all-mismatch behavior is
-    allowed), so 10 never binds.  Raises CertificationError when the
-    matched table alone is not certifiable.
+    allowed), so 10 never binds.  Returns (lambda, the LP's NS3 row duals);
+    raises CertificationError when the matched table alone is not
+    certifiable.
     """
     nu = settings_weights(nu)
-    lam = max_shift_within(
-        _expected_factor_objective(table, 0.0, nu),
-        _expected_factor_objective(np.zeros((2, 2, 2, 2)), 1.0, nu),
-        _NS3,
-        bound=1.0,
-        t_max=10.0,
-    )
-    if lam is None:
+    c0 = _expected_factor_objective(table, 0.0, nu)
+    c1 = _expected_factor_objective(np.zeros((2, 2, 2, 2)), 1.0, nu)
+    found = max_shift_within(c0, c1, _NS3, bound=1.0, t_max=10.0)
+    if found is None:
         raise CertificationError(
             "matched factor alone is not certifiable; no valid mismatch constant"
         )
+    lam, duals = found
     # The all-mismatch behavior gives Exp(W) >= lambda, so no constant
     # above 1 is ever truly certifiable; solver tolerance must not leak
-    # past that bound (it would fabricate gain for a unit factor).
-    return min(lam, 1.0)
+    # past that bound (it would fabricate gain for a unit factor).  The
+    # duals still cover the cap: the objective grows with lambda.
+    return min(lam, 1.0), duals
 
 
-def assemble_robust(wlr: MatchedFactor, lam: float, nu, meta: dict | None = None) -> TestFactor:
+def assemble_robust(wlr: MatchedFactor, lam: float, nu, duals, meta=None) -> TestFactor:
     """Assemble the full factor: matched table plus mismatch constant lam.
 
     Matched cells take the factor at outcome pair (oa, z) for common
-    prover outcome z; construction certifies against the no-signaling
-    polytope and raises CertificationError when lam is too large.
+    prover outcome z.  lambda_max's duals certify it with no LP solve.
     """
     if lam < 0:
         raise ValueError("mismatch constant must be nonnegative")
     matched = np.stack([wlr.table[:, :, :, z] for z in range(2)], axis=-1)
-    return TestFactor(matched, float(lam), settings_weights(nu), meta=meta)
+    return certified_factor(matched, float(lam), settings_weights(nu), duals, meta)
 
 
 def wbar_min(tf: TestFactor, nu=None) -> float:
@@ -282,11 +302,10 @@ def scale_for_fixed_entanglement(tf: TestFactor, xi: float) -> TestFactor:
         return tf
     wmin = wbar_min(tf)
     if wmin >= 1.0:
-        raise UselessFactorError(
-            "factor has settings-averaged minimum >= 1; nothing to scale"
-        )
+        raise UselessFactorError("factor has settings-averaged minimum >= 1; nothing to scale")
     scale = 1.0 + xi * (1.0 - wmin)
-    return TestFactor(tf.matched / scale, tf.mismatch / scale, tf.nu, meta=tf.meta)
+    duals = tf.duals / (tf.scale * scale)
+    return certified_factor(tf.matched / scale, tf.mismatch / scale, tf.nu, duals, tf.meta)
 
 
 def mixing_cap(tf: TestFactor) -> float:
@@ -299,17 +318,22 @@ def mix_with_unity(tf: TestFactor, lam_mix: float) -> TestFactor:
     """Convex (or certified super-unity) mix lam W + (1 - lam).
 
     lam_mix ranges over [0, 1/(1 - min w)]: 1 returns the factor, 0 the
-    unity factor, the cap drives the smallest cell to 0.  Certification is
-    preserved for the whole range since expectations are affine in lam.
+    unity factor, the cap drives the smallest cell to 0.  Expectations
+    are affine in lam, so the duals lam y + (1 - lam) y1 certify the whole
+    range, y1 (nu on the normalization rows) covering the unity factor.
     """
     cap = mixing_cap(tf)
     if not 0.0 <= lam_mix <= cap + 1e-12:
         raise ValueError(f"mixing weight must lie in [0, {cap}]")
-    matched = lam_mix * tf.matched + (1.0 - lam_mix)
-    mismatch = lam_mix * tf.mismatch + (1.0 - lam_mix)
-    matched = np.clip(matched, 0.0, None)
-    mismatch = max(mismatch, 0.0)
-    return TestFactor(matched, float(mismatch), tf.nu, meta=tf.meta)
+    if lam_mix == 1.0:
+        return tf
+    matched = np.clip(lam_mix * tf.matched + (1.0 - lam_mix), 0.0, None)
+    mismatch = max(lam_mix * tf.mismatch + (1.0 - lam_mix), 0.0)
+    # y1 gives each normalization row its block's unity objective (nu or 0).
+    c1 = _expected_factor_objective(np.ones((2, 2, 2, 2)), 1.0, tf.nu).astype(np.float64)
+    unity = np.where(_NS3.b_eq == 1.0, (_NS3.a_eq * c1).max(axis=1), 0.0)
+    duals = lam_mix * tf.duals / tf.scale + (1.0 - lam_mix) * unity
+    return certified_factor(matched, float(mismatch), tf.nu, duals, tf.meta)
 
 
 def entanglement_discounted(tf: TestFactor, r_th: float) -> TestFactor:
@@ -319,7 +343,8 @@ def entanglement_discounted(tf: TestFactor, r_th: float) -> TestFactor:
     factor = math.exp(-r_th * (1.0 - wbar_min(tf)))
     if factor == 1.0:
         return tf
-    return TestFactor(tf.matched * factor, tf.mismatch * factor, tf.nu, meta=tf.meta)
+    duals = tf.duals * (factor / tf.scale)
+    return certified_factor(tf.matched * factor, tf.mismatch * factor, tf.nu, duals, tf.meta)
 
 
 def gain_variance(tf: TestFactor, sigma3: ConditionalDistribution3, nu=None):
@@ -343,13 +368,14 @@ def gain_variance(tf: TestFactor, sigma3: ConditionalDistribution3, nu=None):
 
 
 def testfactor_to_json(tf: TestFactor) -> str:
-    """Serialize with full-precision floats and the certification margin."""
+    """Serialize with full-precision floats, the certificate and its margin."""
     payload = {
         "format": "diqpv-test-factor",
-        "version": 1,
+        "version": 2,
         "matched": tf.matched.tolist(),
         "mismatch": tf.mismatch,
         "nu": tf.nu.tolist(),
+        "certificate": {"duals": tf.duals.tolist(), "scale": tf.scale},
         "cert_margin": tf.cert_margin,
         "meta": tf.meta or {},
     }
@@ -357,13 +383,13 @@ def testfactor_to_json(tf: TestFactor) -> str:
 
 
 def testfactor_from_json(text: str) -> TestFactor:
-    """Inverse of testfactor_to_json; re-certifies on construction."""
+    """Inverse of testfactor_to_json; checks the stored certificate (version 1 has none)."""
     payload = json.loads(text)
     if payload.get("format") != "diqpv-test-factor":
         raise ValueError("not a serialized test factor")
-    return TestFactor(
-        np.array(payload["matched"], dtype=np.float64),
-        float(payload["mismatch"]),
-        np.array(payload["nu"], dtype=np.float64),
-        meta=payload.get("meta") or None,
-    )
+    matched, nu = (np.array(payload[k], dtype=np.float64) for k in ("matched", "nu"))
+    mismatch, meta = float(payload["mismatch"]), payload.get("meta") or None
+    if "certificate" not in payload:
+        return certified_factor(matched, mismatch, nu, meta=meta)
+    cert = payload["certificate"]
+    return TestFactor(matched, mismatch, nu, cert["duals"], float(cert["scale"]), meta)

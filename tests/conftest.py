@@ -34,13 +34,19 @@ def golden_wlr(golden_fit, nu_uniform):
 
 
 @pytest.fixture(scope="session")
-def golden_lambda(golden_wlr, nu_uniform):
+def golden_lambda_duals(golden_wlr, nu_uniform):
     return lambda_max(golden_wlr, nu_uniform)
 
 
 @pytest.fixture(scope="session")
-def golden_factor(golden_wlr, golden_lambda, nu_uniform):
-    return assemble_robust(golden_wlr, golden_lambda, nu_uniform)
+def golden_lambda(golden_lambda_duals):
+    return golden_lambda_duals[0]
+
+
+@pytest.fixture(scope="session")
+def golden_factor(golden_wlr, golden_lambda_duals, nu_uniform):
+    lam, duals = golden_lambda_duals
+    return assemble_robust(golden_wlr, lam, nu_uniform, duals=duals)
 
 
 @pytest.fixture(scope="session")

@@ -124,6 +124,33 @@ def lr_member_oracle(sigma, tol=1e-8):
     return float(np.abs(a_eq @ res.x - b_eq).max()) <= tol
 
 
+def lr_distance(sigma):
+    """Sup-norm distance from sigma to the local deterministic hull, by LP.
+
+    Variables are the 16 vertex weights and the distance t; the reference
+    for the package's local test (Fine's criterion on the CHSH values).
+    """
+    from scipy.optimize import linprog
+
+    target = np.asarray(sigma, dtype=np.float64).reshape(16)
+    verts = lr_vertex_catalog().reshape(16, 16)
+    a_ub = np.zeros((32, 17))
+    a_ub[:16, :16] = verts.T
+    a_ub[16:, :16] = -verts.T
+    a_ub[:, 16] = -1.0
+    b_ub = np.concatenate([target, -target])
+    a_eq = np.concatenate([np.ones(16), [0.0]])[None, :]
+    c = np.zeros(17)
+    c[16] = 1.0
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
+                  bounds=[(0, None)] * 17, method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise RuntimeError(f"lr distance LP failed: {res.message}")
+    return float(res.fun)
+
+
 # Analytic factor at the ideal CHSH point
 
 
@@ -181,8 +208,7 @@ def lambda_max_bisection(table, nu, tol=1e-9):
     nu = settings_weights(nu)
 
     def exceeds(lam):
-        value, _ = certify(matched, lam, nu)
-        return value > 1.0 + 1e-9
+        return certify(matched, lam, nu)[0] > 1.0 + 1e-9
 
     lo, hi = 0.0, 10.0
     if exceeds(lo):

@@ -68,8 +68,8 @@ def test_c01_calibration_fit_matches_reference(golden_counts):
 def test_c02_factor_construction_matches_reference(golden_fit, nu_uniform):
     start = time.perf_counter()
     wlr = build_wlr(golden_fit, nu_uniform)
-    lam = lambda_max(wlr, nu_uniform)
-    tf = assemble_robust(wlr, lam, nu_uniform)
+    lam, duals = lambda_max(wlr, nu_uniform)
+    tf = assemble_robust(wlr, lam, nu_uniform, duals=duals)
     elapsed = time.perf_counter() - start
     rel = float(np.abs(tf.matched / factor_array() - 1.0).max())
     dlam = abs(tf.mismatch - REFERENCE_MISMATCH)
@@ -109,7 +109,8 @@ def test_c05_certification_under_perturbation(golden_counts, golden_factor, nu_u
         pert = CountsTable(rng.poisson(golden_counts.table * jitter).astype(np.float64))
         wlr = build_wlr(ml_fit_quantum(pert), nu_uniform)
         violating += wlr.lr_violating
-        tf = assemble_robust(wlr, lambda_max(wlr, nu_uniform), nu_uniform)
+        lam, duals = lambda_max(wlr, nu_uniform)
+        tf = assemble_robust(wlr, lam, nu_uniform, duals=duals)
         expectations.append(1.0 - tf.cert_margin)
     worst = max(expectations)
     _check(5, "certification under perturbation", worst <= 1.0 + 1e-8,
@@ -219,7 +220,7 @@ def test_c10_structural_invariants(golden_factor, golden_sigma3, nu_uniform):
     ns3 = ns3_polytope()
     points = []
     for _ in range(8):
-        _, mu = max_linear(rng.standard_normal(64), ns3)
+        _, mu, _ = max_linear(rng.standard_normal(64), ns3)
         points.append(np.asarray(mu).reshape((2,) * 6))
     for _ in range(2):
         w = rng.dirichlet(np.ones(len(points) + 1))

@@ -28,6 +28,7 @@ from golden import (
     factor_array,
 )
 import diqpv
+import diqpv.polytopes
 from diqpv import __version__
 from diqpv.cli import PLAN_EPSILONS, build_parser, main
 from diqpv.testfactor import testfactor_from_json as factor_from_json
@@ -501,10 +502,13 @@ def test_fit_reference_counts(tmp_path):
     assert 2.0 < max(abs(c) for c in chsh) <= TSIRELSON + 1e-9
 
 
-def test_build_tf_roundtrip(tmp_path):
+def test_build_tf_roundtrip(tmp_path, monkeypatch):
     out = tmp_path / "tf.json"
     assert main(["build-tf", "--out", str(out)]) == 0
-    tf = factor_from_json(out.read_text())  # re-certifies on load
+    solves = []
+    monkeypatch.setattr(diqpv.polytopes, "linprog", lambda *a, **k: solves.append(1))
+    tf = factor_from_json(out.read_text())  # checks the stored certificate
+    assert solves == [] and tf.cert_margin >= 0.0
     assert np.abs(tf.matched - factor_array()).max() <= 1e-4
     assert tf.mismatch == pytest.approx(REFERENCE_MISMATCH, abs=1e-4)
     assert tf.meta == {"calibration_trials": 75_080_425}

@@ -12,7 +12,6 @@ from diqpv.polytopes import (
     TSIRELSON,
     chsh_row,
     chsh_values,
-    lr_distance,
     lr_vertices,
     max_linear,
     ns3_polytope,
@@ -27,7 +26,13 @@ from diqpv.polytopes import _dual_bound
 from diqpv.testfactor import _expected_factor_objective, assemble_robust, build_wlr, lambda_max
 from diqpv.trialdata import CountsTable
 
-from oracles import chsh_oracle, lr_member_oracle, lr_vertex_catalog, ns2_vertex_catalog
+from oracles import (
+    chsh_oracle,
+    lr_distance,
+    lr_member_oracle,
+    lr_vertex_catalog,
+    ns2_vertex_catalog,
+)
 
 
 def test_constraint_ranks():
@@ -81,10 +86,10 @@ def test_chsh_maxima_over_polytopes():
     q = quantum_set()
     for signs in CHSH_SIGNS:
         row = chsh_row(signs)
-        val_ns, arg = max_linear(row, ns2)
+        val_ns, arg, _ = max_linear(row, ns2)
         assert val_ns == pytest.approx(4.0, abs=1e-8)
         assert ns2.contains(arg, tol=1e-7)
-        val_q, _ = max_linear(row, q)
+        val_q, _, _ = max_linear(row, q)
         assert val_q == pytest.approx(TSIRELSON, abs=1e-8)
     # The deterministic hull caps every combination at 2.
     verts = lr_vertices().reshape(16, 16)
@@ -156,7 +161,7 @@ def test_max_linear_validates_and_verifies(rng):
     with pytest.raises(ValueError):
         max_linear(np.ones(7), ns2)
     c = rng.standard_normal(16)
-    val, arg = max_linear(c, ns2)
+    val, arg, _ = max_linear(c, ns2)
     assert ns2.contains(arg, tol=1e-7)
     assert c @ arg == pytest.approx(val, abs=1e-8)
     # LP max over ns2 equals max over the known vertex catalog.
@@ -164,7 +169,7 @@ def test_max_linear_validates_and_verifies(rng):
     assert val == pytest.approx((cat @ c).max(), abs=1e-8)
 
 
-def test_max_linear_bound_is_valid(golden_counts, golden_factor, nu_uniform, monkeypatch):
+def test_max_linear_bound_is_valid(golden_counts, golden_factor, nu_uniform):
     """The returned bound is proven and tight: c . x <= bound <= c . x + 1e-12
     at the returned maximizer x, on factor objectives, random objectives and
     the eight CHSH rows over the capped quantum set (inequality duals)."""
@@ -175,38 +180,32 @@ def test_max_linear_bound_is_valid(golden_counts, golden_factor, nu_uniform, mon
         jitter = np.exp(rng.normal(0.0, 0.05, size=golden_counts.table.shape))
         pert = CountsTable(rng.poisson(golden_counts.table * jitter).astype(np.float64))
         wlr = build_wlr(ml_fit_quantum(pert), nu_uniform)
-        factors.append(assemble_robust(wlr, lambda_max(wlr, nu_uniform), nu_uniform))
+        lam, duals = lambda_max(wlr, nu_uniform)
+        factors.append(assemble_robust(wlr, lam, nu_uniform, duals=duals))
     cases = [(ns3, _expected_factor_objective(tf.matched, tf.mismatch, tf.nu)) for tf in factors]
     cases += [(ns3, rng.standard_normal(64)) for _ in range(20)]
     cases += [(quantum, chsh_row(signs)) for signs in CHSH_SIGNS]
 
-    solves = []
-    original = diqpv.polytopes.linprog
-
-    def recorded(*args, **kwargs):
-        solves.append(original(*args, **kwargs))
-        return solves[-1]
-
-    monkeypatch.setattr(diqpv.polytopes, "linprog", recorded)
     for poly, c in cases:
-        bound, x = max_linear(c, poly)
+        bound, x, duals = max_linear(c, poly)
         value = float(c @ x)
         assert value <= bound <= value + 1e-12
-        # Weak duality holds for any duals, not just the optimal ones.
-        res = solves[-1]
-        y = -res.eqlin.marginals + rng.normal(0.0, 1e-3, poly.a_eq.shape[0])
-        z = np.maximum(-res.ineqlin.marginals + rng.normal(0.0, 1e-3, poly.a_ub.shape[0]), 0.0)
-        assert _dual_bound(c, poly, y, z) >= value
+        assert _dual_bound(c, poly, duals) == bound
+        # Weak duality holds for any duals, not just the optimal ones
+        # (negative inequality duals are clipped to 0).
+        assert _dual_bound(c, poly, duals + rng.normal(0.0, 1e-3, duals.size)) >= value
 
     # Zero duals leave only the box duals: sum max(0, c_j), rounded up.
     for c in (c for poly, c in cases if poly is ns3):
         exact = sum(Fraction(v) for v in c.tolist() if v > 0)
-        bound = _dual_bound(c, ns3, np.zeros(56), np.zeros(0))
+        bound = _dual_bound(c, ns3, np.zeros(56))
         assert Fraction(bound) >= exact > Fraction(math.nextafter(bound, -math.inf))
     dyadic = rng.integers(-8, 9, 64) / 8.0
-    assert _dual_bound(dyadic, ns3, np.zeros(56), np.zeros(0)) == dyadic.clip(0.0).sum()
+    assert _dual_bound(dyadic, ns3, np.zeros(56)) == dyadic.clip(0.0).sum()
     with pytest.raises(ValueError):  # a dropped column would drop its repair term
-        _dual_bound(dyadic[:-1], ns3, np.zeros(56), np.zeros(0))
+        _dual_bound(dyadic[:-1], ns3, np.zeros(56))
+    with pytest.raises(ValueError):
+        _dual_bound(dyadic, ns3, np.zeros(55))
 
 
 def test_prover_swap_involution(rng):
@@ -220,7 +219,7 @@ def test_two_party_marginal_independent_of_bp():
     rng = np.random.Generator(np.random.Philox(key=3))
     for _ in range(10):
         c = rng.standard_normal(64)
-        _, mu = max_linear(c, ns3)
+        _, mu, _ = max_linear(c, ns3)
         m0 = two_party_marginal(mu, bp=0)
         m1 = two_party_marginal(mu, bp=1)
         assert np.abs(m0 - m1).max() <= 1e-7
@@ -236,7 +235,7 @@ def test_symmetric_extensions_have_local_marginals():
     points = []
     for _ in range(60):
         c = rng.standard_normal(64)
-        _, mu = max_linear(c, ns3)
+        _, mu, _ = max_linear(c, ns3)
         points.append(mu.reshape(2, 2, 2, 2, 2, 2))
     for _ in range(40):
         w = rng.dirichlet(np.ones(12))

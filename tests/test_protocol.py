@@ -26,8 +26,7 @@ from diqpv.protocol import (
     z_for_epsilon,
 )
 from diqpv.estimation import cell_probabilities
-from diqpv.testfactor import TestFactor as CertifiedFactor
-from diqpv.testfactor import certify, gain_variance, wbar_min
+from diqpv.testfactor import certified_factor, certify, gain_variance, wbar_min
 from diqpv.trialdata import CountsTable, aggregate_counts, write_trials
 
 from oracles import kahan_sum
@@ -83,7 +82,7 @@ def test_run_instance_truncates_from_the_end(golden_factor, golden_sigma3, nu_un
 def test_zero_factor_cell_aborts(nu_uniform):
     matched = np.ones((2, 2, 2, 2))
     matched[0, 0, 0, 0] = 0.0
-    tf = CertifiedFactor(matched, 1.0, nu_uniform.table)
+    tf = certified_factor(matched, 1.0, nu_uniform.table)
     params = ProtocolParams(delta=0.01, epsilon=0.9, n=10)
     with pytest.raises(AnalysisAbort, match="cell code 0"):
         run_instance([(1, 1, 1, 1, 1)], tf, params)
@@ -102,7 +101,7 @@ def test_counts_validation(golden_factor):
 
 
 def test_unity_factor_never_passes(nu_uniform):
-    unity = CertifiedFactor(np.ones((2, 2, 2, 2)), 1.0, nu_uniform.table)
+    unity = certified_factor(np.ones((2, 2, 2, 2)), 1.0, nu_uniform.table)
     params = ProtocolParams(delta=0.5, epsilon=0.9, n=5)
     res = run_instance([(1, 1, 1, 1, 1)] * 5, unity, params)
     assert res.sum_log_w == 0.0
@@ -363,7 +362,7 @@ def test_e_value_soundness_in_bulk(golden_factor, nu_uniform):
     """Against the worst no-signaling adversary the pass rate stays below
     the significance level plus sampling noise."""
     nu = golden_factor.nu
-    _, mu = certify(golden_factor.matched, golden_factor.mismatch, nu)
+    _, mu, _ = certify(golden_factor.matched, golden_factor.mismatch, nu)
     probs = np.zeros((2, 2, 2, 2, 2))
     for ma in range(2):
         for b in range(2):

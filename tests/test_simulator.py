@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import chi2
 
 from diqpv.estimation import cell_probabilities
-from diqpv.polytopes import lr_distance, lr_vertices, pr_box, uniform_ns3
+from diqpv.polytopes import lr_vertices, pr_box, uniform_ns3
 from diqpv.simulator import (
     DEFAULT_AMP_A,
     DEFAULT_AMP_B,
@@ -21,7 +21,7 @@ from diqpv.simulator import (
 from diqpv.testfactor import certify
 from diqpv.trialdata import aggregate_counts
 
-from oracles import born_matched_oracle
+from oracles import born_matched_oracle, lr_distance
 
 
 def test_challenge_to_setting_parity():
@@ -194,7 +194,7 @@ def test_stream_key_layout():
 def test_certified_factor_bounds_sampled_adversary(golden_factor, nu_uniform):
     """A certified factor stays fair on trials sampled from any allowed
     strategy, here the worst-case one."""
-    _, mu = certify(golden_factor.matched, golden_factor.mismatch, golden_factor.nu)
+    _, mu, _ = certify(golden_factor.matched, golden_factor.mismatch, golden_factor.nu)
     adv = AdversaryModel.ns3_point(np.clip(mu, 0.0, None))
     sigma3 = adv.behavior
     n = 1_000_000

@@ -1,4 +1,6 @@
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,12 +8,17 @@ import pytest
 import diqpv.polytopes
 from diqpv.errors import CertificationError, UselessFactorError
 from diqpv.estimation import ConditionalDistribution2, ml_fit_quantum, regularize
-from diqpv.polytopes import lr_vertices, ns3_polytope, pr_box, quantum_set
-from diqpv.protocol import calibrate
+from diqpv.polytopes import chsh_values, lr_vertices, ns3_polytope, pr_box, quantum_set
+from diqpv.protocol import calibrate, plan_entanglement
 from diqpv.testfactor import (
+    LOCAL_CHSH_TOL,
     MatchedFactor,
+    _expected_factor_objective,
+    _pin_free_cells,
+    _vertex_constraint_rows,
     assemble_robust,
     build_wlr,
+    certified_factor,
     certify,
     entanglement_discounted,
     gain_variance,
@@ -25,7 +32,7 @@ from diqpv.testfactor import (
 from diqpv.testfactor import TestFactor as CertifiedFactor
 from diqpv.testfactor import testfactor_from_json as factor_from_json
 from diqpv.testfactor import testfactor_to_json as factor_to_json
-from diqpv.trialdata import CountsTable
+from diqpv.trialdata import CountsTable, settings_weights
 
 from golden import (
     REFERENCE_GAIN_BITS,
@@ -34,7 +41,7 @@ from golden import (
     REFERENCE_WBAR_MIN,
     factor_array,
 )
-from oracles import lambda_max_bisection, tsirelson_factor_oracle, tsirelson_point
+from oracles import lambda_max_bisection, lr_distance, tsirelson_factor_oracle, tsirelson_point
 
 
 def test_golden_factor_matches_reference(
@@ -43,7 +50,9 @@ def test_golden_factor_matches_reference(
     assert golden_wlr.lr_violating
     assert golden_lambda == pytest.approx(REFERENCE_MISMATCH, abs=1e-4)
     assert np.abs(golden_factor.matched - factor_array()).max() <= 1e-4
-    assert golden_factor.mismatch == golden_lambda
+    # The lambda LP's duals bound the assembled factor by 1 + 7.2e-16
+    # exactly; dividing that out lowers the constant by 8 ulp (8.9e-16).
+    assert golden_lambda - 8 * math.ulp(golden_lambda) <= golden_factor.mismatch < golden_lambda
     # The pipeline function reproduces the hand-chained fixtures exactly.
     cal = calibrate(golden_counts, nu_uniform, 2e-6)
     assert np.array_equal(cal.factor.matched, golden_factor.matched)
@@ -52,8 +61,8 @@ def test_golden_factor_matches_reference(
 
 
 def test_golden_factor_certified(golden_factor, nu_uniform):
-    assert golden_factor.cert_margin >= -1e-8
-    value, mu = certify(golden_factor.matched, golden_factor.mismatch, golden_factor.nu)
+    assert golden_factor.cert_margin >= 0.0
+    value, mu, _ = certify(golden_factor.matched, golden_factor.mismatch, golden_factor.nu)
     assert value <= 1.0 + 1e-8
     assert ns3_polytope().contains(mu, tol=1e-7)
 
@@ -77,18 +86,18 @@ def test_full_table_and_value_agree(golden_factor):
 
 
 def test_unity_factor_caps_mismatch_at_one(nu_uniform):
-    lam = lambda_max_table(np.ones((2, 2, 2, 2)), nu_uniform)
+    lam, duals = lambda_max_table(np.ones((2, 2, 2, 2)), nu_uniform)
     assert lam == 1.0
     unity = MatchedFactor(np.ones((2, 2, 2, 2)), 0.0, False)
-    tf = assemble_robust(unity, lam, nu_uniform)
+    tf = assemble_robust(unity, lam, nu_uniform, duals=duals)
     assert tf.global_min() == 1.0
     assert wbar_min(tf) == 1.0
 
 
 def test_lambda_monotone_under_downscaling(golden_wlr, golden_lambda, nu_uniform):
-    lam_half = lambda_max_table(0.5 * golden_wlr.table, nu_uniform)
+    lam_half, _ = lambda_max_table(0.5 * golden_wlr.table, nu_uniform)
     assert lam_half >= golden_lambda
-    lam_tiny = lambda_max_table(1e-3 * golden_wlr.table, nu_uniform)
+    lam_tiny, _ = lambda_max_table(1e-3 * golden_wlr.table, nu_uniform)
     assert lam_tiny >= lam_half
 
 
@@ -105,7 +114,7 @@ def test_lambda_max_matches_bisection_oracle(golden_counts, golden_wlr, nu_unifo
         pert = CountsTable(rng.poisson(golden_counts.table * jitter).astype(np.float64))
         tables.append(build_wlr(ml_fit_quantum(pert), nu_uniform).table)
     for table in tables:
-        lam = lambda_max_table(table, nu_uniform)
+        lam, _ = lambda_max_table(table, nu_uniform)
         assert lam == pytest.approx(lambda_max_bisection(table, nu_uniform), abs=1e-8)
         # Not above the facet, and maximal unless capped.
         assert certify(table, lam, nu_uniform)[0] <= 1.0 + 1e-12
@@ -131,12 +140,14 @@ def test_lambda_max_is_one_lp(golden_wlr, nu_uniform, monkeypatch):
     assert len(calls) == 1
 
 
-def test_certify_is_one_lp(golden_wlr, golden_lambda, golden_factor, nu_uniform, monkeypatch):
+def test_certify_is_one_lp(golden_wlr, golden_lambda_duals, golden_factor, nu_uniform, monkeypatch):
     calls = _count_linprog(monkeypatch)
     certify(golden_factor.matched, golden_factor.mismatch, nu_uniform)
     assert len(calls) == 1
-    assemble_robust(golden_wlr, golden_lambda, nu_uniform)
-    assert len(calls) == 2
+    # lambda_max's duals are the certificate: assembling checks, not solves.
+    lam, duals = golden_lambda_duals
+    assemble_robust(golden_wlr, lam, nu_uniform, duals=duals)
+    assert len(calls) == 1
 
 
 def test_build_wlr_pins_zero_weight_cells(nu_uniform):
@@ -151,9 +162,46 @@ def test_build_wlr_pins_zero_weight_cells(nu_uniform):
     assert np.all(wlr.table[free] == 0.0)
     assert np.all(wlr.table[~free] > 0.0)
     assert wlr.gain == pytest.approx(0.0571479699328497, abs=1e-12)
-    assert lambda_max(wlr, nu_uniform) == pytest.approx(
+    assert lambda_max(wlr, nu_uniform)[0] == pytest.approx(
         lambda_max_bisection(wlr.table, nu_uniform), abs=1e-8
     )
+
+
+def test_pin_free_cells_raises_them_when_the_constant_holds(nu_uniform, monkeypatch):
+    # The unity table with cell 5 unsupported: raising the cell back to 1
+    # breaks no strategy row and keeps lambda at 1, so the raised table wins.
+    nu = settings_weights(nu_uniform)
+    table = np.ones(16)
+    table[5] = 0.0
+    calls = _count_linprog(monkeypatch)
+    out = _pin_free_cells(table, table > 0, _vertex_constraint_rows(nu), nu)
+    assert np.array_equal(out, np.ones(16))
+    assert len(calls) == 2
+
+
+def test_local_test_matches_lr_distance_oracle(nu_uniform):
+    """Fine's criterion against the hull-distance LP near the boundary.
+
+    Along (1 - t) L + t PR, with L the constant-1 vertex on the PR box's
+    CHSH facet, the CHSH excess over 2 is e = 2t.  For a no-signaling
+    behavior the sup-norm distance d to the local hull obeys
+    e/16 <= d <= e/2: a CHSH row is 16 entries of +-1, and a PR-box weight
+    of e/2 over a local remainder reaches the hull.  So the tolerance
+    LOCAL_CHSH_TOL = 2e-9 on e classes local only behaviors with
+    d <= 1e-9, the tolerance the hull LP was read at; here d = e/16.
+    """
+    assert LOCAL_CHSH_TOL == 2e-9
+    v0 = lr_vertices()[0]
+    for excess, local in ((0.0, True), (1e-12, True), (1e-9, True), (1e-6, False)):
+        sigma = (1.0 - excess / 2) * v0 + excess / 2 * pr_box()
+        assert chsh_values(sigma).max() - 2.0 == pytest.approx(excess, abs=1e-15)
+        d = lr_distance(sigma)
+        assert excess / 16 - 1e-12 <= d <= excess / 2 + 1e-12
+        assert (d <= 1e-9) == local
+        wlr = build_wlr(ConditionalDistribution2(sigma), nu_uniform)
+        assert wlr.lr_violating is not local
+        if local:
+            assert np.all(wlr.table == 1.0) and wlr.gain == 0.0
 
 
 def test_build_wlr_local_behavior_gives_unity(nu_uniform):
@@ -177,7 +225,7 @@ def test_certified_expectation_holds_empirically(golden_factor):
     """Sample a million trials from the worst-case adversary; the factor
     mean must not exceed 1 beyond sampling noise."""
     nu = golden_factor.nu
-    _, mu = certify(golden_factor.matched, golden_factor.mismatch, nu)
+    _, mu, _ = certify(golden_factor.matched, golden_factor.mismatch, nu)
     probs = np.zeros((2, 2, 2, 2, 2))  # (mqa, oqa, mqp, zqa, zqb)
     for ma in range(2):
         for b in range(2):
@@ -220,7 +268,7 @@ def test_scale_for_fixed_entanglement(golden_factor):
     denom = 1.0 + xi * (1.0 - wbar_min(golden_factor))
     assert np.abs(scaled.matched - golden_factor.matched / denom).max() <= 1e-15
     assert scaled.mismatch == pytest.approx(golden_factor.mismatch / denom, rel=1e-15)
-    unity = CertifiedFactor(np.ones((2, 2, 2, 2)), 1.0, golden_factor.nu)
+    unity = certified_factor(np.ones((2, 2, 2, 2)), 1.0, golden_factor.nu)
     with pytest.raises(UselessFactorError):
         scale_for_fixed_entanglement(unity, 0.1)
 
@@ -232,7 +280,7 @@ def test_entanglement_discount(golden_factor):
     factor = math.exp(-r_th * (1.0 - wbar_min(golden_factor)))
     assert np.abs(disc.matched - factor * golden_factor.matched).max() <= 1e-15
     assert disc.cert_margin >= golden_factor.cert_margin - 1e-12
-    unity = CertifiedFactor(np.ones((2, 2, 2, 2)), 1.0, golden_factor.nu)
+    unity = certified_factor(np.ones((2, 2, 2, 2)), 1.0, golden_factor.nu)
     assert entanglement_discounted(unity, 5.0) is unity
     with pytest.raises(ValueError):
         entanglement_discounted(golden_factor, -1.0)
@@ -246,13 +294,13 @@ def test_gain_variance_golden(golden_factor, golden_sigma3):
 
 
 def test_gain_variance_zero_for_unity(golden_factor, golden_sigma3, nu_uniform):
-    unity = CertifiedFactor(np.ones((2, 2, 2, 2)), 1.0, nu_uniform.table)
+    unity = certified_factor(np.ones((2, 2, 2, 2)), 1.0, nu_uniform.table)
     g, v = gain_variance(unity, golden_sigma3)
     assert g == 0.0 and v == 0.0
 
 
 def test_json_round_trip(golden_factor):
-    golden = CertifiedFactor(
+    golden = certified_factor(
         golden_factor.matched, golden_factor.mismatch, golden_factor.nu,
         meta={"calibration_trials": 75_080_425},
     )
@@ -276,24 +324,119 @@ def test_tampered_serialization_fails_certification(golden_factor):
         factor_from_json(json.dumps(payload))
 
 
+def test_tampered_certificate_fails_without_a_solve(golden_factor, monkeypatch):
+    calls = _count_linprog(monkeypatch)
+    good = json.loads(factor_to_json(golden_factor))
+    assert good["version"] == 2 and len(good["certificate"]["duals"]) == 56
+    assert factor_from_json(json.dumps(good)).cert_margin == golden_factor.cert_margin
+    tampered = []
+    for edit in (
+        lambda p: p.update(mismatch=2.0),
+        lambda p: p["certificate"].update(duals=[0.0] * 56),
+        lambda p: p["certificate"].update(scale=1.0),
+        lambda p: p["matched"][0][0][0].__setitem__(0, p["matched"][0][0][0][0] * (1 + 1e-9)),
+    ):
+        payload = json.loads(factor_to_json(golden_factor))
+        edit(payload)
+        tampered.append(json.dumps(payload))
+    for text in tampered:
+        with pytest.raises(CertificationError):
+            factor_from_json(text)
+    assert len(calls) == 0
+
+
+def test_version_1_json_is_certified_by_one_lp(golden_wlr, golden_lambda, monkeypatch):
+    # A version-1 file has no certificate, and a factor written before the
+    # excess was divided out sits just above the facet: matched at the
+    # lambda LP's own constant.  One certify LP proves it after division.
+    matched = np.stack([golden_wlr.table[:, :, :, z] for z in range(2)], axis=-1)
+    payload = {
+        "format": "diqpv-test-factor", "version": 1, "matched": matched.tolist(),
+        "mismatch": golden_lambda, "nu": np.full((2, 2), 0.25).tolist(),
+        "cert_margin": -8.9e-16, "meta": {},
+    }
+    calls = _count_linprog(monkeypatch)
+    back = factor_from_json(json.dumps(payload))
+    assert len(calls) == 1
+    assert back.cert_margin >= 0.0 and back.scale > 1.0
+    assert back.mismatch < golden_lambda and np.all(back.matched <= matched)
+    assert back.mismatch >= golden_lambda - 1e-14
+
+
+def test_no_slack_and_excess_is_divided_out(golden_wlr, golden_lambda_duals, nu_uniform):
+    lam, duals = golden_lambda_duals
+    matched = np.stack([golden_wlr.table[:, :, :, z] for z in range(2)], axis=-1)
+    # At the lambda LP's own duals the exact bound is 1 + 7.2e-16: rejected.
+    with pytest.raises(CertificationError):
+        CertifiedFactor(matched, lam, nu_uniform, duals=duals)
+    for shift in (0.0, 1e-12):
+        tf = assemble_robust(golden_wlr, lam + shift, nu_uniform, duals=duals)
+        assert tf.scale > 1.0 and tf.cert_margin >= 0.0
+        assert tf.mismatch * tf.scale <= lam + shift
+        assert np.all(tf.matched * tf.scale <= matched)
+    # An excess beyond float error in the duals is a caller's error.
+    with pytest.raises(CertificationError):
+        assemble_robust(golden_wlr, lam + 1e-3, nu_uniform, duals=duals)
+    with pytest.raises(CertificationError):
+        assemble_robust(golden_wlr, lam, nu_uniform, duals=np.zeros(56))
+
+
+def test_non_dyadic_nu_is_certified_exactly(golden_fit, monkeypatch):
+    nu = np.array([[0.3, 0.2], [0.1, 0.4]])
+    wlr = build_wlr(golden_fit, nu)
+    lam, duals = lambda_max(wlr, nu)
+    tf = assemble_robust(wlr, lam, nu, duals=duals)
+    assert tf.cert_margin >= 0.0
+    # The objective holds the exact products nu * w, not their rounding.
+    c = _expected_factor_objective(tf.matched, tf.mismatch, tf.nu)
+    assert c[3] == Fraction(0.3) * Fraction(tf.matched[0, 0, 0, 1])
+    assert any(Fraction(float(x)) != x for x in c)
+    text = factor_to_json(tf)
+    calls = _count_linprog(monkeypatch)
+    back = factor_from_json(text)
+    assert len(calls) == 0
+    assert np.array_equal(back.matched, tf.matched) and back.mismatch == tf.mismatch
+    assert back.cert_margin == tf.cert_margin
+
+
+def test_certificates_flow_through_calibration_and_transforms(
+    golden_counts, golden_sigma3, nu_uniform, monkeypatch
+):
+    calls = _count_linprog(monkeypatch)
+    tf = calibrate(golden_counts, nu_uniform, 2e-6).factor
+    assert len(calls) == 1
+    plan = plan_entanglement(tf, golden_sigma3, 8e-6, 2.0**-64, 0.97725)
+    derived = [
+        plan.factor,
+        mix_with_unity(tf, 0.0),
+        mix_with_unity(tf, mixing_cap(tf)),
+        scale_for_fixed_entanglement(tf, 0.002),
+        entanglement_discounted(tf, 8e-6),
+    ]
+    derived += [factor_from_json(factor_to_json(f)) for f in derived]
+    assert len(calls) == 1
+    assert tf.cert_margin >= 0.0
+    assert all(f.cert_margin >= 0.0 for f in derived)
+
+
 def test_factor_validation(golden_factor, nu_uniform):
     with pytest.raises(ValueError):
-        CertifiedFactor(-np.ones((2, 2, 2, 2)), 0.5, nu_uniform.table)
+        certified_factor(-np.ones((2, 2, 2, 2)), 0.5, nu_uniform.table)
     with pytest.raises(ValueError):
-        CertifiedFactor(np.ones((2, 2, 2, 2)), -0.5, nu_uniform.table)
+        certified_factor(np.ones((2, 2, 2, 2)), -0.5, nu_uniform.table)
     with pytest.raises(CertificationError):
-        CertifiedFactor(golden_factor.matched, 2.0, nu_uniform.table)
+        certified_factor(golden_factor.matched, 2.0, nu_uniform.table)
     with pytest.raises(ValueError):
         assemble_robust(
-            MatchedFactor(np.ones((2, 2, 2, 2)), 0.0, False), -0.1, nu_uniform
+            MatchedFactor(np.ones((2, 2, 2, 2)), 0.0, False), -0.1, nu_uniform, np.zeros(56)
         )
 
 
 def test_regularized_fit_survives_certification(golden_fit, nu_uniform):
     """The whole pipeline run at a coarser mismatch parameter stays sound."""
     wlr = build_wlr(golden_fit, nu_uniform)
-    lam = lambda_max(wlr, nu_uniform)
-    tf = assemble_robust(wlr, lam, nu_uniform)
+    lam, duals = lambda_max(wlr, nu_uniform)
+    tf = assemble_robust(wlr, lam, nu_uniform, duals=duals)
     sigma3 = regularize(golden_fit, 1e-4)
     g, v = gain_variance(tf, sigma3)
     assert v > 0
