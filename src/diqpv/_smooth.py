@@ -18,16 +18,17 @@ nullspace of their rows), interior optima get an unconstrained Newton
 finish.  Either way the polish converges quadratically, so interior optima
 are resolved to machine precision rather than barrier precision.
 
-Stopping rule: each Newton loop ends when the Newton decrement squared is
-below 1e-12 (1e-16 in polish) or its step cap is reached; the total
-iteration budget is capped at 1e5.
+Stopping rule: each Newton loop (at most 200 steps per stage, 100 in
+polish) ends at the first of three stops: the Newton decrement squared
+falls below 1e-12 (1e-16 in polish), a step leaves x bitwise unchanged,
+or the backtracking line search fails.  Each step is a deterministic
+function of x, so a step that leaves x unchanged would repeat to the cap.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_TOTAL_CAP = 100_000
 _T_MAX = 1e13
 
 
@@ -35,12 +36,10 @@ class SmoothSolveError(RuntimeError):
     pass
 
 
-def _newton_loop(x, slacks_fn, k, a, steps, tol, budget):
+def _newton_loop(x, slacks_fn, k, a, steps, tol):
     """Maximize sum_j k_j log s_j(x); returns (x, iterations_used)."""
     used = 0
     for _ in range(steps):
-        if used >= budget:
-            break
         s = slacks_fn(x)
         g = (k / s) @ a
         h = (a * (k / s**2)[:, None]).T @ a
@@ -63,18 +62,13 @@ def _newton_loop(x, slacks_fn, k, a, steps, tol, budget):
         base = float(k @ np.log(s))
         while alpha > 1e-18:
             s_new = slacks_fn(x + alpha * d)
-            if (s_new > 0).all():
-                val = float(k @ np.log(s_new))
-                if val >= base + 0.25 * alpha * decrement:
-                    break
-                # Near the optimum the model step can only tread water;
-                # accept it as long as it does not actually lose ground.
-                if alpha < 1e-12 and val >= base - 1e-13 * max(1.0, abs(base)):
-                    break
+            if (s_new > 0).all() and float(k @ np.log(s_new)) >= base + 0.25 * alpha * decrement:
+                break
             alpha *= 0.5
-        if alpha <= 1e-18:
+        x_new = x + alpha * d
+        if alpha <= 1e-18 or np.array_equal(x_new, x):
             break
-        x = x + alpha * d
+        x = x_new
         used += 1
     return x, used
 
@@ -98,13 +92,11 @@ def maximize_log_affine(weights, a, b, x0):
     if (slacks(x) <= 0).any():
         raise SmoothSolveError("starting point is not strictly feasible")
 
-    budget = _TOTAL_CAP
     t = 16.0
     while True:
         k = t * w + 1.0
-        x, used = _newton_loop(x, slacks, k, a, steps=200, tol=1e-12, budget=budget)
-        budget -= used
-        if t >= _T_MAX or budget <= 0:
+        x, _ = _newton_loop(x, slacks, k, a, steps=200, tol=1e-12)
+        if t >= _T_MAX:
             break
         t = min(t * 20.0, _T_MAX)
 
@@ -137,12 +129,8 @@ def maximize_log_affine(weights, a, b, x0):
             return base + mat @ psi
 
         psi = np.zeros(nullb.shape[1])
-        psi, used = _newton_loop(
-            psi, red_slacks, k_red, a_red, steps=100, tol=1e-16, budget=budget
-        )
+        psi, _ = _newton_loop(psi, red_slacks, k_red, a_red, steps=100, tol=1e-16)
         x = x + nullb @ psi
     else:
-        x, used = _newton_loop(
-            x, slacks, w, a, steps=100, tol=1e-16, budget=budget
-        )
+        x, _ = _newton_loop(x, slacks, w, a, steps=100, tol=1e-16)
     return x

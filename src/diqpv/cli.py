@@ -90,7 +90,7 @@ def _write_hist_csv(path, values, bins: int = 50) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("bin_lo,bin_hi,count\n")
         for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-            fh.write(f"{lo!r},{hi!r},{int(c)}\n")
+            fh.write(f"{float(lo)!r},{float(hi)!r},{int(c)}\n")
 
 
 def _provenance(args, extra: dict | None = None) -> dict:
@@ -337,10 +337,10 @@ def cmd_plan(args) -> int:
     if args.mode == "entanglement":
         with open(os.path.join(args.out, "tradeoff_rth.csv"), "w", encoding="utf-8") as fh:
             fh.write("epsilon,runtime_seconds,r_th\n")
-            for t in runtimes:
-                n = int(t * TRIAL_RATE_HZ)
-                rate = achievable_rth(tf, sigma3, n, delta, args.epsilon)
-                fh.write(f"{args.epsilon},{t!r},{rate!r}\n")
+            ns = np.array([int(t * TRIAL_RATE_HZ) for t in runtimes])
+            rates = achievable_rth(tf, sigma3, ns, delta, args.epsilon)
+            for t, rate in zip(runtimes, rates):
+                fh.write(f"{args.epsilon},{t!r},{float(rate)!r}\n")
     _write_json(os.path.join(args.out, "report.json"), report)
     op = report["operating_point"]
     print(f"{op['mode']} operating point: {op['trials']} trials "

@@ -224,7 +224,7 @@ def required_trials(g: float, v: float, delta: float, epsilon: float) -> int:
     if v == 0.0:
         n = math.ceil(big / g)
     else:
-        root = (z * math.sqrt(v) + math.sqrt(z * z * v + 4.0 * g * big)) / (2.0 * g)
+        root = _sqrt_n_crossing(g, v, big, z)
         n = max(1, math.ceil(root * root))
 
     def ok(m: int) -> bool:
@@ -235,6 +235,14 @@ def required_trials(g: float, v: float, delta: float, epsilon: float) -> int:
     while n > 1 and ok(n - 1):
         n -= 1
     return n
+
+
+def _sqrt_n_crossing(g, v, big, z):
+    """sqrt(n) where the CLT margin n g - z sqrt(n v) - big crosses zero.
+
+    The positive root of the quadratic in sqrt(n); g, v may be arrays.
+    """
+    return (z * np.sqrt(v) + np.sqrt(z * z * v + 4.0 * g * big)) / (2.0 * g)
 
 
 def n_margin(n: int, g: float, v: float, big: float, z: float) -> float:
@@ -301,9 +309,7 @@ def plan_entanglement(
         g_eff = g - r_th * lam_arr * deficit / LN2
         out = np.full(lam_arr.shape, np.inf)
         feasible = g_eff > 0
-        gf, vf = g_eff[feasible], v[feasible]
-        root = (z * np.sqrt(vf) + np.sqrt(z * z * vf + 4.0 * gf * big)) / (2.0 * gf)
-        out[feasible] = root**2
+        out[feasible] = _sqrt_n_crossing(g_eff[feasible], v[feasible], big, z) ** 2
         return out, g, v, g_eff
 
     grid = np.linspace(lo, hi, 400)
@@ -360,17 +366,16 @@ def achievable_delta_log2(n: int, g: float, v: float, epsilon: float) -> float:
 def achievable_rth(
     tf: TestFactor,
     sigma3: ConditionalDistribution3,
-    n: int,
+    n: np.ndarray,
     delta: float,
     epsilon: float,
-) -> float:
-    """Largest entanglement threshold testable with n trials.
+) -> np.ndarray:
+    """Largest entanglement threshold testable with each trial count in n.
 
     Maximizes over the mixing weight the rate whose threshold the CLT
-    margin still clears; 0 when even r_th = 0 is out of reach.
+    margin still clears; 0 where n < 1 or even r_th = 0 is out of reach.
     """
-    if n < 1:
-        return 0.0
+    n = np.asarray(n)
     probs = cell_probabilities(sigma3, tf.nu).reshape(32)
     w_flat = tf.full_table().reshape(32)
     deficit = 1.0 - wbar_min(tf)
@@ -381,9 +386,10 @@ def achievable_rth(
     cap = min(mixing_cap(tf), 1e6)
     grid = np.linspace(1e-6 * cap, cap * (1.0 - 1e-9), 2000)
     g, v = _mixed_gain_variance(w_flat, probs, grid)
-    slack_bits = g - (big + z * np.sqrt(n * v)) / n
-    rates = slack_bits * LN2 / (grid * deficit)
-    return float(max(0.0, rates.max()))
+    m = np.maximum(n, 1)[:, None]
+    slack_bits = g - (big + z * np.sqrt(m * v)) / m
+    rates = (slack_bits * LN2 / (grid * deficit)).max(axis=1)
+    return np.where((n >= 1) & (rates > 0.0), rates, 0.0)
 
 
 class ArrayTrialSource:

@@ -6,7 +6,9 @@ vertex catalogs instead of H-representations, bisection over the primal
 certification LP instead of its dual, compensated summation by the
 textbook per-term recurrence, and dense axis scans and Monte Carlo
 sampling of the defining inequalities instead of closed-form region
-sizes.  Tests freeze these as the definition of correct.
+sizes, and a barrier solver that keeps stepping to its caps instead of
+stopping when a step leaves x unchanged.  Tests freeze these as the
+definition of correct.
 """
 
 import math
@@ -367,3 +369,121 @@ def direct_3d_volume(pred, spec, x_range, rho_max, samples, seed):
     frac = hits.mean()
     err = box * math.sqrt(max(frac * (1 - frac), 0.0) / samples)
     return box * frac, err
+
+
+# Barrier solver with a global step budget and tread-water acceptance
+
+
+def _budgeted_newton_loop(x, slacks_fn, k, a, steps, tol, budget):
+    """Maximize sum_j k_j log s_j(x); returns (x, iterations_used)."""
+    used = 0
+    for _ in range(steps):
+        if used >= budget:
+            break
+        s = slacks_fn(x)
+        g = (k / s) @ a
+        h = (a * (k / s**2)[:, None]).T @ a
+        try:
+            d = np.linalg.solve(h, g)
+        except np.linalg.LinAlgError:
+            d = np.linalg.lstsq(h, g, rcond=None)[0]
+        decrement = float(g @ d)
+        if not np.isfinite(decrement) or decrement <= 0:
+            d = g / max(1.0, np.linalg.norm(g))
+            decrement = float(g @ d)
+            if decrement <= 0:
+                break
+        if decrement / 2 <= tol:
+            break
+        ad = a @ d
+        shrink = ad < 0
+        alpha_max = np.inf if not shrink.any() else float((-s[shrink] / ad[shrink]).min())
+        alpha = min(1.0, 0.99 * alpha_max)
+        base = float(k @ np.log(s))
+        while alpha > 1e-18:
+            s_new = slacks_fn(x + alpha * d)
+            if (s_new > 0).all():
+                val = float(k @ np.log(s_new))
+                if val >= base + 0.25 * alpha * decrement:
+                    break
+                # Near the optimum the model step can only tread water;
+                # accept it as long as it does not actually lose ground.
+                if alpha < 1e-12 and val >= base - 1e-13 * max(1.0, abs(base)):
+                    break
+            alpha *= 0.5
+        if alpha <= 1e-18:
+            break
+        x = x + alpha * d
+        used += 1
+    return x, used
+
+
+def maximize_log_affine_budgeted(weights, a, b, x0):
+    """Maximizer of sum_j w_j log(a_j . x + b_j) from a strictly feasible x0.
+
+    The same barrier path and polish as ``diqpv._smooth``, but a Newton
+    loop stops only at its decrement tolerance, its step cap, a failed line
+    search or a global budget of 1e5 steps, and the line search accepts a
+    step below alpha 1e-12 that loses no more than 1e-13 relative.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    x = np.asarray(x0, dtype=np.float64).copy()
+    if (w < 0).any():
+        raise ValueError("row weights must be nonnegative")
+
+    def slacks(v):
+        return a @ v + b
+
+    if (slacks(x) <= 0).any():
+        raise RuntimeError("starting point is not strictly feasible")
+
+    budget = 100_000
+    t = 16.0
+    while True:
+        k = t * w + 1.0
+        x, used = _budgeted_newton_loop(x, slacks, k, a, steps=200, tol=1e-12, budget=budget)
+        budget -= used
+        if t >= 1e13 or budget <= 0:
+            break
+        t = min(t * 20.0, 1e13)
+
+    # Polish: drop the barrier.  Constraint rows whose slack collapsed along
+    # the path are pinned as equalities (Newton in the nullspace of their
+    # rows); everything else keeps weight w_j, so zero-weight rows still
+    # guard the line search without entering the Newton model.
+    s = slacks(x)
+    scale = max(1.0, float(np.abs(b).max()))
+    active = (w == 0) & (s < 1e-6 * scale)
+    if active.any():
+        a_act = a[active]
+        # Project exactly onto the active facet before walking it.
+        corr = a_act.T @ np.linalg.lstsq(a_act @ a_act.T, s[active], rcond=None)[0]
+        x_f = x - corr
+        if (slacks(x_f)[~active] <= 0).any():
+            return x  # projection left the cone; the barrier point stands
+        x = x_f
+        _, sv, vt = np.linalg.svd(a_act, full_matrices=True)
+        rank = int((sv > 1e-12 * max(1.0, sv[0] if sv.size else 1.0)).sum())
+        nullb = vt[rank:].T
+        if nullb.shape[1] == 0:
+            return x
+        keep = ~active
+        a_red = a[keep] @ nullb
+        k_red = w[keep]
+        b_off = slacks(x)[keep]
+
+        def red_slacks(psi, base=b_off, mat=a_red):
+            return base + mat @ psi
+
+        psi = np.zeros(nullb.shape[1])
+        psi, used = _budgeted_newton_loop(
+            psi, red_slacks, k_red, a_red, steps=100, tol=1e-16, budget=budget
+        )
+        x = x + nullb @ psi
+    else:
+        x, used = _budgeted_newton_loop(
+            x, slacks, w, a, steps=100, tol=1e-16, budget=budget
+        )
+    return x

@@ -8,6 +8,7 @@ expected exit codes and file layouts are reproducible.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -456,6 +457,25 @@ def test_geometry_reference_run_1d(tmp_path):
     assert comp["ratio"] == pytest.approx(4.48, abs=0.6)
     for name in ("hist_advantage_1d_ideal.csv", "hist_advantage_1d_comparable.csv"):
         assert (out / name).read_text().splitlines()[0] == "bin_lo,bin_hi,count"
+
+
+def test_histogram_csvs_parse_as_numbers(ideal_dir, tmp_path):
+    rep, geo = tmp_path / "rep", tmp_path / "geo"
+    assert main(["analyze", str(ideal_dir), "--out", str(rep),
+                 "--mode", "entanglement", "--trials-per-instance", "8000",
+                 "--delta-log2", "4"]) == 0
+    assert main(["geometry", "--out", str(geo), "--dim", "1",
+                 "--mc-outer", "500", "--seed", "5"]) == 0
+    for path, total in ((rep / "hist_log2p.csv", 2), (rep / "hist_rlb.csv", 2),
+                        (geo / "hist_advantage_1d_ideal.csv", None)):
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["bin_lo", "bin_hi", "count"]
+        assert len(rows) == 50
+        edges = [(float(lo), float(hi)) for lo, hi, _ in rows]
+        assert all(lo < hi for lo, hi in edges)
+        counts = [int(c) for _, _, c in rows]
+        assert total is None or sum(counts) == total
 
 
 def test_geometry_degenerate_ideal_above_1d(tmp_path):

@@ -249,9 +249,9 @@ def test_achievable_quantities_consistent(golden_factor, golden_sigma3):
     assert achievable_delta_log2(0, g, v, 0.97725) == 0.0
 
     plan = plan_entanglement(golden_factor, golden_sigma3, 8e-6, 2**-64, 0.97725)
-    r = achievable_rth(golden_factor, golden_sigma3, plan.n, 2**-64, 0.97725)
+    r = achievable_rth(golden_factor, golden_sigma3, [plan.n], 2**-64, 0.97725)[0]
     assert r >= 8e-6 * (1.0 - 1e-5)  # grid search sits a hair under the optimum
-    r_small = achievable_rth(golden_factor, golden_sigma3, plan.n // 4, 2**-64, 0.97725)
+    r_small = achievable_rth(golden_factor, golden_sigma3, [plan.n // 4], 2**-64, 0.97725)[0]
     assert r_small < r
 
 
