@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .protocol import (
     achievable_delta_log2,
     achievable_rth,
     calibrate,
-    first_calibration,
     plan_entanglement,
     required_trials,
     segment_and_analyze,
@@ -115,19 +114,16 @@ def _timing_from_arg(path) -> TimingGeometry:
     return TimingGeometry(**cfg)
 
 
-def _resolve_model(args):
-    """Model selection: --model shortcut or a config file's model block."""
-    spec: dict = {"kind": "honest"}
-    if getattr(args, "config", None):
-        cfg = _load_json(args.config)
-        spec = dict(cfg.get("model", spec))
-    if args.model and args.model != "config":
-        if args.model == "honest":
+def _resolve_model(shortcut, cfg: dict):
+    """Model selection: --model shortcut or the config's model block."""
+    spec = dict(cfg.get("model", {"kind": "honest"}))
+    if shortcut and shortcut != "config":
+        if shortcut == "honest":
             spec = {"kind": "honest"}
-        elif args.model.startswith("lr:"):
-            spec = {"kind": "lr_vertex", "index": int(args.model[3:])}
+        elif shortcut.startswith("lr:"):
+            spec = {"kind": "lr_vertex", "index": int(shortcut[3:])}
         else:
-            raise ValueError(f"unknown model {args.model!r} (use honest, lr:K, or config)")
+            raise ValueError(f"unknown model {shortcut!r} (use honest, lr:K, or config)")
     kind = spec.get("kind", "honest")
     if kind == "honest":
         fields = {k: v for k, v in spec.items() if k != "kind"}
@@ -154,13 +150,11 @@ def _resolve_model(args):
     return spec, model.behavior
 
 
-def _settings_from_config(args) -> JointSettingsDistribution:
-    if getattr(args, "config", None):
-        cfg = _load_json(args.config)
-        if "settings_weights" in cfg:
-            return JointSettingsDistribution(
-                table=np.asarray(cfg["settings_weights"], dtype=np.float64)
-            )
+def _settings_from_config(cfg: dict) -> JointSettingsDistribution:
+    if "settings_weights" in cfg:
+        return JointSettingsDistribution(
+            table=np.asarray(cfg["settings_weights"], dtype=np.float64)
+        )
     return JointSettingsDistribution.uniform()
 
 
@@ -173,8 +167,9 @@ def cmd_simulate(args) -> int:
     error_files = set()
     if args.error_files:
         error_files = {int(tok) for tok in args.error_files.split(",") if tok.strip()}
-    model_spec, sigma3 = _resolve_model(args)
-    nu = _settings_from_config(args)
+    cfg = _load_json(args.config) if args.config else {}
+    model_spec, sigma3 = _resolve_model(args.model, cfg)
+    nu = _settings_from_config(cfg)
     os.makedirs(args.out, exist_ok=True)
 
     def write_one(i: int) -> dict:
@@ -203,13 +198,12 @@ def _rth(args) -> float:
 
 
 def cmd_analyze(args) -> int:
-    n = args.trials_per_instance
-    # Validate the operating point before any file is read; a planned n
-    # replaces the placeholder below.
+    # Validate the operating point before any file is read; without
+    # --trials-per-instance the first calibration window sizes instances.
     params = ProtocolParams(
         delta=2.0 ** (-args.delta_log2),
         epsilon=args.epsilon,
-        n=1 if n is None else n,
+        n=args.trials_per_instance,
         mode=args.mode,
         r_th=_rth(args),
     )
@@ -217,25 +211,7 @@ def cmd_analyze(args) -> int:
     if not names:
         raise DiqpvError(f"no .qpvt files in {args.data_dir}")
     sources = [FileTrialSource(os.path.join(args.data_dir, f)) for f in names]
-    nu = JointSettingsDistribution.uniform()
-    first = first_plan = None
-    if n is None:
-        # The first window sizes the instances and then scores the first
-        # one, so its calibration and plan are handed on, not redone.
-        first = first_calibration(sources, nu, args.mismatch_d)
-        if params.mode == "entanglement":
-            first_plan = plan_entanglement(
-                first.factor, first.sigma3, params.r_th, params.delta, params.epsilon, nu=nu
-            )
-            n = first_plan.n
-        else:
-            g, v = gain_variance(first.factor, first.sigma3, nu)
-            n = required_trials(g, v, params.delta, params.epsilon)
-        params = replace(params, n=n)
-    instances = segment_and_analyze(
-        sources, params, nu=nu, mismatch_d=args.mismatch_d,
-        first=first, first_plan=first_plan,
-    )
+    instances = segment_and_analyze(sources, params, mismatch_d=args.mismatch_d)
 
     os.makedirs(args.out, exist_ok=True)
     rows = []
@@ -253,13 +229,14 @@ def cmd_analyze(args) -> int:
             "calibration_files": list(inst.calibration_labels),
         })
     n_pass = sum(r["passed"] for r in rows)
+    n = instances[0].result.trials_real + instances[0].result.trials_padded
     report = _provenance(args, {"trials_per_instance": n})
     report["instances"] = rows
     report["summary"] = {
         "instances": len(rows),
         "passed": n_pass,
         "failed": len(rows) - n_pass,
-        "pass_fraction": n_pass / len(rows) if rows else None,
+        "pass_fraction": n_pass / len(rows),
     }
     _write_json(os.path.join(args.out, "report.json"), report)
     with open(os.path.join(args.out, "instances.csv"), "w", encoding="utf-8") as fh:

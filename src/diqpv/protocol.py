@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -42,12 +42,20 @@ from .testfactor import (
     TestFactor,
     assemble_robust,
     build_wlr,
+    gain_variance,
     lambda_max,
     mix_with_unity,
     mixing_cap,
     wbar_min,
 )
-from .trialdata import CountsTable, aggregate_counts, settings_weights
+from .trialdata import (
+    CountsTable,
+    JointSettingsDistribution,
+    aggregate_counts,
+    pack_records,
+    read_trial_header,
+    settings_weights,
+)
 
 LN2 = math.log(2.0)
 
@@ -61,11 +69,15 @@ ENTANGLEMENT_FILES_PER_INSTANCE = 4
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Operating point of a verification run."""
+    """Operating point of a verification run.
+
+    n is the trial count of an instance.  segment_and_analyze also takes
+    None, meaning instances are sized from the first calibration window.
+    """
 
     delta: float
     epsilon: float
-    n: int
+    n: int | None
     mode: str = "basic"
     r_th: float = 0.0
 
@@ -74,7 +86,7 @@ class ProtocolParams:
             raise ValueError("mode must be 'basic' or 'entanglement'")
         if not 0.0 < self.delta < self.epsilon <= 1.0:
             raise ValueError("need 0 < delta < epsilon <= 1")
-        if self.n < 1:
+        if self.n is not None and self.n < 1:
             raise ValueError("n must be at least 1")
         if self.r_th < 0:
             raise ValueError("r_th must be nonnegative")
@@ -132,13 +144,9 @@ def run_instance_from_counts(
     threshold = params.log_threshold
     r_lb = None
     if params.mode == "entanglement":
-        deficit = 1.0 - wbar_min(tf)
-        if deficit <= 0:
-            raise UselessFactorError(
-                "entanglement accounting needs settings-averaged minimum < 1"
-            )
-        r_lb = r_lower_bound(total, params.n, params.delta, wbar_min(tf))
-        threshold = threshold + params.n * params.r_th * deficit
+        wbar = wbar_min(tf)
+        r_lb = r_lower_bound(total, params.n, params.delta, wbar)
+        threshold = threshold + params.n * params.r_th * (1.0 - wbar)
     passed = total >= threshold
     return InstanceResult(
         sum_log_w=total,
@@ -160,8 +168,6 @@ def run_instance(trials, tf: TestFactor, params: ProtocolParams) -> InstanceResu
     if isinstance(trials, np.ndarray) and trials.ndim == 1:
         codes = trials
     else:
-        from .trialdata import pack_records
-
         codes = pack_records(trials)
     if codes.size > params.n:
         codes = codes[: params.n]
@@ -418,7 +424,8 @@ class FileTrialSource:
     """Disk-backed trial source; reads the header eagerly, trials lazily."""
 
     def __init__(self, path):
-        from .trialdata import read_trial_codes, read_trial_header
+        # Looked up at call time so a tracer can patch trialdata.read_trial_codes.
+        from .trialdata import read_trial_codes
 
         self._path = path
         self._read_codes = read_trial_codes
@@ -474,6 +481,8 @@ def _first_instance_start(sources) -> int:
         raise DegenerateDataError(
             f"need 10 error-free calibration files, have {len(error_free)}"
         )
+    if error_free[9] + 1 == len(sources):
+        raise DegenerateDataError("no data file after the 10 calibration files")
     return error_free[9] + 1
 
 
@@ -488,15 +497,6 @@ def _calibrate_window(window, nu, mismatch_d: float) -> Calibration:
     for src in window:
         counts = counts + src.counts()
     return calibrate(counts, nu, mismatch_d, meta={"calibration": [s.label for s in window]})
-
-
-def first_calibration(sources, nu, mismatch_d: float = 2e-6) -> Calibration:
-    """Calibration of the first instance's window, e.g. to size instances.
-
-    Pass it to segment_and_analyze as first so that window is fitted once.
-    """
-    sources = list(sources)
-    return _calibrate_window(_window(sources, _first_instance_start(sources)), nu, mismatch_d)
 
 
 @dataclass(frozen=True)
@@ -516,47 +516,41 @@ def segment_and_analyze(
     params: ProtocolParams,
     nu=None,
     mismatch_d: float = 2e-6,
-    first: Calibration | None = None,
-    first_plan: EntanglementPlan | None = None,
 ) -> list[AnalyzedInstance]:
     """Walk a run of trial files: calibrate, build factors, score instances.
 
     sources is a sequence of trial sources (see ArrayTrialSource) in run
-    order.  Needs at least ten error-free files before the first instance
-    can start; raises DegenerateDataError otherwise.  Error-flagged files
-    are never used for calibration but are consumed by instances.  first,
-    if given, is first_calibration of the same sources, nu and mismatch_d;
-    the first instance uses it instead of fitting its window again.
-    first_plan, if given, is plan_entanglement of first's factor at params'
-    r_th, delta and epsilon; the first instance uses it instead of planning
-    again.
+    order.  Needs ten error-free files and at least one file after them;
+    raises DegenerateDataError otherwise.  Error-flagged files are never
+    used for calibration but are consumed by instances.  If params.n is
+    None, the first window sizes every instance: n is its entanglement
+    plan's trial count, or in basic mode required_trials of its factor's
+    gain and variance.
     """
     sources = list(sources)
-    from .trialdata import JointSettingsDistribution
-
     weights = JointSettingsDistribution.uniform() if nu is None else nu
     fpi = params.files_per_instance
     out: list[AnalyzedInstance] = []
     pos = _first_instance_start(sources)
-    index = 0
     while pos < len(sources):
         block = sources[pos : pos + fpi]
         window = _window(sources, pos)
-        if index == 0 and first is not None:
-            cal = first
-        else:
-            cal = _calibrate_window(window, weights, mismatch_d)
+        cal = _calibrate_window(window, weights, mismatch_d)
         tf = cal.factor
         lam_mix = None
         if params.mode == "entanglement":
-            if index == 0 and first_plan is not None:
-                plan = first_plan
-            else:
-                plan = plan_entanglement(
-                    tf, cal.sigma3, params.r_th, params.delta, params.epsilon, nu=weights
-                )
+            plan = plan_entanglement(
+                tf, cal.sigma3, params.r_th, params.delta, params.epsilon, nu=weights
+            )
             tf = plan.factor
             lam_mix = plan.lam_mix
+        if params.n is None:
+            if params.mode == "entanglement":
+                n = plan.n
+            else:
+                g, v = gain_variance(tf, cal.sigma3, weights)
+                n = required_trials(g, v, params.delta, params.epsilon)
+            params = replace(params, n=n)
         counts = CountsTable.zeros()
         consumed = 0
         for src in block:
@@ -572,7 +566,7 @@ def segment_and_analyze(
         result = run_instance_from_counts(counts, consumed, tf, params)
         out.append(
             AnalyzedInstance(
-                index=index,
+                index=len(out),
                 result=result,
                 calibration_labels=tuple(s.label for s in window),
                 data_labels=tuple(s.label for s in block),
@@ -581,5 +575,4 @@ def segment_and_analyze(
             )
         )
         pos += len(block)
-        index += 1
     return out

@@ -284,6 +284,13 @@ def test_analyze_rejects_short_or_empty_runs(tmp_path, capsys):
     assert rc == 0
     assert main(["analyze", str(run), "--out", str(tmp_path / "rep"),
                  "--trials-per-instance", "1000"]) == 1
+    # Ten calibration files and nothing to score: an error, not a vacuous pass.
+    ten = tmp_path / "ten"
+    assert main(["simulate", "--out", str(ten), "--files", "10",
+                 "--trials-per-file", "1000", "--model", "honest", "--seed", "2"]) == 0
+    for flags in ([], ["--trials-per-instance", "1000"]):
+        assert main(["analyze", str(ten), "--out", str(tmp_path / "rep1")] + flags) == 1
+    assert not (tmp_path / "rep1").exists()
     empty = tmp_path / "none"
     empty.mkdir()
     assert main(["analyze", str(empty), "--out", str(tmp_path / "rep2")]) == 1
@@ -291,6 +298,7 @@ def test_analyze_rejects_short_or_empty_runs(tmp_path, capsys):
                  "--out", str(tmp_path / "rep3")]) == 1
     err = capsys.readouterr().err
     assert "error-free" in err
+    assert err.count("error: no data file after the 10 calibration files") == 2
     assert ".qpvt" in err
 
 

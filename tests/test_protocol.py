@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from diqpv.protocol import (
     ProtocolParams,
     achievable_delta_log2,
     achievable_rth,
+    calibrate,
     n_margin,
     p_succ,
     plan_entanglement,
@@ -26,6 +28,7 @@ from diqpv.protocol import (
     z_for_epsilon,
 )
 from diqpv.estimation import cell_probabilities
+from diqpv.simulator import HonestProverModel, honest_distribution
 from diqpv.testfactor import certified_factor, certify, gain_variance, wbar_min
 from diqpv.trialdata import CountsTable, aggregate_counts, write_trials
 
@@ -46,6 +49,7 @@ def test_params_validation():
         delta=2**-10, epsilon=0.97725, n=100, mode="entanglement", r_th=8e-6
     )
     assert ent.files_per_instance == 4
+    assert ProtocolParams(delta=0.5, epsilon=0.9, n=None).n is None
     with pytest.raises(ValueError):
         ProtocolParams(delta=0.5, epsilon=0.25, n=10)
     with pytest.raises(ValueError):
@@ -106,6 +110,10 @@ def test_unity_factor_never_passes(nu_uniform):
     res = run_instance([(1, 1, 1, 1, 1)] * 5, unity, params)
     assert res.sum_log_w == 0.0
     assert not res.passed
+    # Entanglement accounting needs a settings-averaged minimum below 1.
+    ent = ProtocolParams(delta=0.5, epsilon=0.9, n=5, mode="entanglement", r_th=1e-4)
+    with pytest.raises(UselessFactorError):
+        run_instance([(1, 1, 1, 1, 1)] * 5, unity, ent)
 
 
 def test_instance_sum_matches_compensated_oracle(golden_factor):
@@ -329,8 +337,45 @@ def test_segmentation_consumption_caps_at_n(golden_sigma3, nu_uniform):
 def test_segmentation_needs_ten_clean_files(golden_sigma3, nu_uniform):
     sources = _sources(golden_sigma3, nu_uniform, [500] * 12, errors={0, 1, 2})
     params = ProtocolParams(delta=0.5, epsilon=0.9, n=1000)
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(DegenerateDataError, match="need 10 error-free calibration files, have 9"):
         segment_and_analyze(sources, params, nu=nu_uniform)
+    # Ten clean files and nothing after them: no instance to score.
+    sources = _sources(golden_sigma3, nu_uniform, [500] * 10)
+    with pytest.raises(DegenerateDataError, match="no data file after the 10 calibration files"):
+        segment_and_analyze(sources, params, nu=nu_uniform)
+
+
+@pytest.mark.parametrize("mode", ["basic", "entanglement"])
+def test_segmentation_sizes_instances_from_first_window(nu_uniform, mode):
+    # Lossless source, so a 20k-trial window fits a strongly nonlocal factor.
+    sigma3 = honest_distribution(
+        HonestProverModel(eta_a=1.0, eta_p=1.0, dark_count=0.0, p_pair=1.0)
+    )
+    sources = _sources(sigma3, nu_uniform, [2000] * 18)
+    r_th = 8e-6 if mode == "entanglement" else 0.0
+    auto = ProtocolParams(delta=2**-4, epsilon=0.97725, n=None, mode=mode, r_th=r_th)
+    window = CountsTable.zeros()
+    for src in sources[:10]:
+        window = window + src.counts()
+    cal = calibrate(window, nu_uniform, 2e-6)
+    if mode == "entanglement":
+        n = plan_entanglement(
+            cal.factor, cal.sigma3, r_th, auto.delta, auto.epsilon, nu=nu_uniform
+        ).n
+    else:
+        g, v = gain_variance(cal.factor, cal.sigma3, nu_uniform)
+        n = required_trials(g, v, auto.delta, auto.epsilon)
+    assert 1 <= n < 2000
+    sized = segment_and_analyze(sources, auto, nu=nu_uniform)
+    fixed = segment_and_analyze(sources, replace(auto, n=n), nu=nu_uniform)
+    assert len(sized) == len(fixed) == {"basic": 4, "entanglement": 2}[mode]
+    for a, b in zip(sized, fixed):
+        assert a.result == b.result
+        assert a.result.trials_real == n and a.result.trials_padded == 0
+        assert (a.calibration_labels, a.data_labels, a.lam_mix) == (
+            b.calibration_labels, b.data_labels, b.lam_mix
+        )
+        assert np.array_equal(a.factor.full_table(), b.factor.full_table())
 
 
 def test_segmentation_deterministic(golden_sigma3, nu_uniform):
