@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import MISSING, asdict
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .errors import DiqpvError, EmptyRegionError, InfeasiblePlanError
 from .estimation import ml_fit_quantum
 from .geometry import (
     TimingGeometry,
+    classical_sizes,
     quantum_advantage,
     region_size,
     region_spec,
@@ -67,6 +68,8 @@ from .trialdata import (
 TRIALS_PER_FILE = 15_000_000
 TRIAL_RATE_HZ = 250_000.0
 PLAN_EPSILONS = (0.84134, 0.97725, 0.99865)
+# The one parameter key of each adversary model kind's config block.
+_ADVERSARY_KEYS = {"lr_vertex": "index", "lr_mixture": "weights", "ns3": "mu"}
 
 
 def _load_json(path) -> dict:
@@ -103,14 +106,22 @@ def _counts_from_arg(path) -> CountsTable:
     return read_counts_csv(path) if path else calibration_counts()
 
 
+def _check_keys(what: str, cfg: dict, required, known) -> None:
+    """Reject a config block that lacks a required key or holds an unknown one."""
+    missing = set(required) - set(cfg)
+    if missing:
+        raise ValueError(f"missing {what} keys {sorted(missing)}")
+    unknown = set(cfg) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what} keys {sorted(unknown)}; expected {sorted(known)}")
+
+
 def _timing_from_arg(path) -> TimingGeometry:
     if not path:
         return timing_geometry()
     cfg = _load_json(path)
-    known = set(TimingGeometry.__dataclass_fields__)
-    unknown = set(cfg) - known
-    if unknown:
-        raise ValueError(f"unknown timing keys {sorted(unknown)}; expected {sorted(known)}")
+    fields = TimingGeometry.__dataclass_fields__
+    _check_keys("timing", cfg, [k for k, f in fields.items() if f.default is MISSING], fields)
     return TimingGeometry(**cfg)
 
 
@@ -126,6 +137,7 @@ def _resolve_model(shortcut, cfg: dict):
             raise ValueError(f"unknown model {shortcut!r} (use honest, lr:K, or config)")
     kind = spec.get("kind", "honest")
     if kind == "honest":
+        _check_keys("honest model", spec, (), {"kind", *HonestProverModel.__dataclass_fields__})
         fields = {k: v for k, v in spec.items() if k != "kind"}
         for key in ("angles_a_deg", "angles_p_deg"):
             if key in fields:
@@ -139,14 +151,16 @@ def _resolve_model(shortcut, cfg: dict):
             fields["amp_a"], fields["amp_b"] = a / norm, b / norm
         model = HonestProverModel(**fields)
         return spec | {"kind": "honest"}, honest_distribution(model)
-    if kind == "lr_vertex":
-        model = AdversaryModel.lr_vertex(int(spec["index"]))
-    elif kind == "lr_mixture":
-        model = AdversaryModel.lr_mixture(np.asarray(spec["weights"], dtype=np.float64))
-    elif kind == "ns3":
-        model = AdversaryModel.ns3_point(np.asarray(spec["mu"], dtype=np.float64))
-    else:
+    if kind not in _ADVERSARY_KEYS:
         raise ValueError(f"unknown model kind {kind!r}")
+    key = _ADVERSARY_KEYS[kind]
+    _check_keys(f"{kind} model", spec, (key,), ("kind", key))
+    if kind == "lr_vertex":
+        model = AdversaryModel.lr_vertex(int(spec[key]))
+    elif kind == "lr_mixture":
+        model = AdversaryModel.lr_mixture(np.asarray(spec[key], dtype=np.float64))
+    else:
+        model = AdversaryModel.ns3_point(np.asarray(spec[key], dtype=np.float64))
     return spec, model.behavior
 
 
@@ -332,52 +346,36 @@ def cmd_geometry(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     sizes: dict[str, dict] = {}
-    for dim in dims:
-        q = region_size("quantum", spec, dim)
-        union = region_size("classical", spec, dim)
-        lens_a = region_size("lens_a", spec, dim)
-        lens_b = region_size("lens_b", spec, dim)
-        if dim == 1:
-            comparable = (lens_a[0] + lens_b[0], 0.0)
-            ideal = (spec.d_sep, 0.0)
-        else:
-            comparable = union
-            ideal = (0.0, 0.0)
-        sizes[f"{dim}d"] = {
-            "quantum": list(q),
-            "lens_a": list(lens_a),
-            "lens_b": list(lens_b),
-            "classical_union": list(union),
-            "classical_comparable": list(comparable),
-            "classical_ideal": list(ideal),
-            "quantum_degenerate": q[0] == 0.0,
-        }
-
     advantage: dict[str, dict] = {}
     for dim in dims:
+        measured = {name: region_size(name, spec, dim)[0]
+                    for name in ("quantum", "lens_a", "lens_b")}
+        classical = classical_sizes(dim, *measured.values(), spec.d_sep)
+        sizes[f"{dim}d"] = {
+            **{name: [size, 0.0] for name, size in measured.items()},
+            **{f"classical_{name}": [size, 0.0] for name, size in classical.items()},
+            "quantum_degenerate": measured["quantum"] == 0.0,
+        }
+        try:
+            results = quantum_advantage(tg, dim, mc_outer=args.mc_outer, seed=args.seed)
+            note = "ideal classical region has zero size above 1D"
+        except EmptyRegionError as exc:
+            results = dict.fromkeys(("ideal", "comparable"))
+            note = f"empty quantum region: {exc}"
         advantage[f"{dim}d"] = {}
-        for comparator in ("ideal", "comparable"):
+        for comparator, res in results.items():
             entry: dict = {"comparator": comparator}
-            try:
-                res = quantum_advantage(
-                    tg, dim, comparator, mc_outer=args.mc_outer, seed=args.seed
-                )
-            except EmptyRegionError as exc:
-                entry.update({"ratio": None, "sigma": None, "degenerate": True,
-                              "note": f"empty quantum region: {exc}"})
+            if res is None or res.degenerate:
+                entry.update({"ratio": None, "sigma": None, "degenerate": True, "note": note})
             else:
-                if res.degenerate:
-                    entry.update({"ratio": None, "sigma": None, "degenerate": True,
-                                  "note": "ideal classical region has zero size above 1D"})
-                else:
-                    entry.update({
-                        "ratio": res.ratio, "sigma": res.sigma, "degenerate": False,
-                        "empty_fraction": res.empty_fraction,
-                    })
-                    _write_hist_csv(
-                        os.path.join(args.out, f"hist_advantage_{dim}d_{comparator}.csv"),
-                        res.samples,
-                    )
+                entry.update({
+                    "ratio": res.ratio, "sigma": res.sigma, "degenerate": False,
+                    "empty_fraction": res.empty_fraction,
+                })
+                _write_hist_csv(
+                    os.path.join(args.out, f"hist_advantage_{dim}d_{comparator}.csv"),
+                    res.samples,
+                )
             advantage[f"{dim}d"][comparator] = entry
 
     report = _provenance(args)
@@ -386,8 +384,7 @@ def cmd_geometry(args) -> int:
     report["advantage"] = advantage
     _write_json(os.path.join(args.out, "report.json"), report)
     for dim in dims:
-        for comparator in ("ideal", "comparable"):
-            entry = advantage[f"{dim}d"][comparator]
+        for comparator, entry in advantage[f"{dim}d"].items():
             shown = "degenerate" if entry["degenerate"] else (
                 f"{entry['ratio']:.3f} +- {entry['sigma']:.3f}")
             print(f"{dim}D {comparator}: {shown}")

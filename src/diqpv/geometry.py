@@ -18,11 +18,9 @@ while classical responders can sit in either lens
     A: l_A <= radius_a and l_A + l_B <= ellipse_ba
     B: l_B <= radius_b and l_A + l_B <= ellipse_ab
 
-whose union is the comparable classical region.  The two lenses intersect
-exactly in the quantum region, so union = lensA + lensB - quantum; the
-one-dimensional comparison uses the summed lens lengths, the 2D and 3D
-comparisons the union.  All regions are rotationally symmetric about the
-station axis, and every constraint is a disk or an ellipse in the
+whose union is the comparable classical region (classical_sizes holds the
+union and comparator rules).  All regions are rotationally symmetric about
+the station axis, and every constraint is a disk or an ellipse in the
 half-plane (x, rho), so each region's length, area and volume has a closed
 form (see _measure).
 
@@ -216,19 +214,33 @@ def axis_interval(region: str, spec: RegionSpec) -> tuple[float, float]:
     return lo, hi
 
 
+def classical_sizes(dim: int, quantum, lens_a, lens_b, d) -> dict:
+    """Classical region sizes from the quantum and lens sizes: floats or arrays.
+
+    The two lenses intersect exactly in the quantum region, so the "union"
+    is lens_a + lens_b - quantum.  The "comparable" classical protocol is
+    the summed lens lengths in 1D and the union above; the "ideal" one is
+    the station segment d in 1D and has zero size above.
+    """
+    union = lens_a + lens_b - quantum
+    if dim == 1:
+        return {"union": union, "comparable": lens_a + lens_b, "ideal": d}
+    return {"union": union, "comparable": union, "ideal": 0.0}
+
+
 def region_size(region: str, spec: RegionSpec, dim: int) -> tuple[float, float]:
     """Exact size (length/area/volume) of a region, as (size, 0.0).
 
     region is "quantum", "lens_a", "lens_b" or "classical" (the lens
-    union, lens_a + lens_b - quantum).  The second entry is the size's
-    error, kept for the report's [size, err] pairs; it is always 0.
+    union).  The second entry is the size's error, kept for the report's
+    [size, err] pairs; it is always 0.
     """
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2, or 3")
     if region == "classical":
         q, a, b = (_spec_measure(name, spec, dim)[2]
                    for name in ("quantum", "lens_a", "lens_b"))
-        return a + b - q, 0.0
+        return classical_sizes(dim, q, a, b, spec.d_sep)["union"], 0.0
     return _spec_measure(region, spec, dim)[2], 0.0
 
 
@@ -258,24 +270,22 @@ def _draw_parameters(tg: TimingGeometry, n: int, seed: int):
 def quantum_advantage(
     tg: TimingGeometry,
     dim: int,
-    comparator: str = "comparable",
     mc_outer: int = 100_000,
     seed: int = 1,
-) -> AdvantageResult:
-    """Ratio of classical to quantum target-region size under uncertainty.
+) -> dict[str, AdvantageResult]:
+    """Ratios of classical to quantum target-region size under uncertainty.
 
     Draws mc_outer Gaussian parameter sets, sizes the regions of each draw
-    exactly in separation-scaled coordinates, and returns the mean ratio
-    with its standard deviation across draws.  comparator "ideal" divides
-    the ideal classical size (the station segment in 1D, zero above) by
-    the quantum size; "comparable" divides the lens sum (1D) or lens union
-    (2D/3D).  Aborts when more than 1% of draws give an empty quantum
-    region.
+    exactly in separation-scaled coordinates, and returns {"ideal": ...,
+    "comparable": ...}: for each classical comparator of classical_sizes,
+    the mean ratio with its standard deviation across draws.  A comparator
+    of zero size (ideal above 1D) gives a degenerate result.  Aborts when
+    more than 1% of draws, or all of them, give an empty quantum region.
     """
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2, or 3")
-    if comparator not in ("ideal", "comparable"):
-        raise ValueError("comparator must be 'ideal' or 'comparable'")
+    if mc_outer < 1:
+        raise ValueError("mc_outer must be at least 1")
     ra, rb, m_ab, m_ba, d = _draw_parameters(tg, mc_outer, seed)
     if (d <= 0).any():
         raise EmptyRegionError("separation draw crossed zero; uncertainties too large")
@@ -288,31 +298,24 @@ def quantum_advantage(
         raise EmptyRegionError(
             f"{empty_fraction:.1%} of parameter draws give an empty quantum region"
         )
-
-    if comparator == "ideal" and dim > 1:
-        return AdvantageResult(
-            ratio=math.inf, sigma=math.nan, dim=dim, comparator=comparator,
-            empty_fraction=empty_fraction, degenerate=True,
-            samples=np.array([]),
-        )
-
     if dim > 1:
         q_size = _measure("quantum", dim, *scaled)[2]
     ok = ~empty & (q_size > 0)
-    if comparator == "ideal":
-        classical = np.ones(mc_outer)  # the separation segment, scaled length 1
-    else:
-        lens_sum = _measure("lens_a", dim, *scaled)[2] + _measure("lens_b", dim, *scaled)[2]
-        classical = lens_sum if dim == 1 else lens_sum - q_size
-    ratios = classical[ok] / q_size[ok]
-    if ratios.size == 0:
+    if not ok.any():
         raise EmptyRegionError("no parameter draw produced a nonempty quantum region")
-    return AdvantageResult(
-        ratio=float(ratios.mean()),
-        sigma=float(ratios.std()),
-        dim=dim,
-        comparator=comparator,
-        empty_fraction=empty_fraction,
-        degenerate=False,
-        samples=ratios,
-    )
+    lens_a, lens_b = (_measure(name, dim, *scaled)[2] for name in ("lens_a", "lens_b"))
+    sizes = classical_sizes(dim, q_size, lens_a, lens_b, 1.0)
+
+    results = {}
+    for comparator in ("ideal", "comparable"):
+        classical = sizes[comparator]
+        degenerate = not np.any(classical)
+        ratios = (np.array([]) if degenerate
+                  else np.broadcast_to(classical, q_size.shape)[ok] / q_size[ok])
+        results[comparator] = AdvantageResult(
+            ratio=math.inf if degenerate else float(ratios.mean()),
+            sigma=math.nan if degenerate else float(ratios.std()),
+            dim=dim, comparator=comparator, empty_fraction=empty_fraction,
+            degenerate=degenerate, samples=ratios,
+        )
+    return results

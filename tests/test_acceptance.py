@@ -190,7 +190,7 @@ def test_c09_target_region_geometry():
     ratio_errs = {}
     ok = all(e <= 0.3 for e in len_errs.values())
     for (dim, comparator), (center, sigma) in sorted(REFERENCE_ADVANTAGE.items()):
-        res = quantum_advantage(tg, dim, comparator, mc_outer=100_000, seed=7)
+        res = quantum_advantage(tg, dim, mc_outer=100_000, seed=7)[comparator]
         ratio_errs[(dim, comparator)] = (res.ratio, abs(res.ratio - center), 3.0 * sigma)
         ok = ok and abs(res.ratio - center) <= 3.0 * sigma
     elapsed = time.perf_counter() - start

@@ -32,6 +32,7 @@ import diqpv
 import diqpv.polytopes
 from diqpv import __version__
 from diqpv.cli import PLAN_EPSILONS, build_parser, main
+from diqpv.geometry import SPEED_OF_LIGHT_M_PER_NS
 from diqpv.testfactor import testfactor_from_json as factor_from_json
 from diqpv.trialdata import CountsTable, export_counts_csv, read_trial_header, read_trials
 
@@ -183,6 +184,22 @@ def test_simulate_argument_validation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "exactly one of" in err
     assert "unknown model" in err
+
+
+@pytest.mark.parametrize("model, message", [
+    ({"kind": "honest", "bogus": 1}, "error: unknown honest model keys ['bogus']"),
+    ({"kind": "lr_vertex"}, "error: missing lr_vertex model keys ['index']"),
+], ids=["honest-unknown-key", "lr-vertex-missing-index"])
+def test_simulate_rejects_bad_model_config(tmp_path, capsys, model, message):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"model": model}))
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--files", "1",
+                 "--trials-per-file", "100", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_simulate_deterministic_and_thread_invariant(tmp_path):
@@ -513,6 +530,76 @@ def test_geometry_rejects_unknown_timing_keys(tmp_path, capsys):
                  "--dim", "1", "--mc-size", "1000", "--mc-outer", "10",
                  "--mc-inner", "100"]) == 1
     assert "unknown timing keys" in capsys.readouterr().err
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps({k: v for k, v in REFERENCE_TIMING.items()
+                                   if k != "d_sep_m"}))
+    assert main(["geometry", "--out", str(tmp_path / "geo"), "--config", str(partial),
+                 "--dim", "1", "--mc-outer", "10"]) == 1
+    assert "error: missing timing keys ['d_sep_m']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mc_outer", ["0", "-3"])
+def test_geometry_rejects_mc_outer_below_one(tmp_path, capsys, mc_outer):
+    out = tmp_path / "geo"
+    assert main(["geometry", "--out", str(out), "--mc-outer", mc_outer]) == 1
+    assert "error: mc_outer must be at least 1" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_geometry_seeded_report(tmp_path):
+    out = tmp_path / "geo"
+    assert main(["geometry", "--out", str(out), "--dim", "all", "--seed", "7",
+                 "--mc-outer", "20000"]) == 0
+    adv = _read_json(out / "report.json")["advantage"]
+    expect = {
+        ("1d", "ideal"): (2.473143772122048, 0.014081561466010622),
+        ("1d", "comparable"): (4.473143772122048, 0.014081561466010622),
+        ("2d", "comparable"): (4.021761222280704, 0.01687693872778672),
+        ("3d", "comparable"): (4.523633197065901, 0.0195565430354359),
+    }
+    for (dim, comparator), (ratio, sigma) in expect.items():
+        entry = adv[dim][comparator]
+        assert entry["degenerate"] is False
+        assert entry["ratio"] == pytest.approx(ratio, rel=1e-12)
+        assert entry["sigma"] == pytest.approx(sigma, rel=1e-12)
+    for dim in ("2d", "3d"):
+        assert adv[dim]["ideal"]["degenerate"] is True
+        assert adv[dim]["ideal"]["ratio"] is None
+
+
+def test_geometry_draws_once_per_dim(tmp_path, monkeypatch):
+    advantage = _count_calls(monkeypatch, "diqpv.geometry", "quantum_advantage")
+    draws = _count_calls(monkeypatch, "diqpv.geometry", "_draw_parameters")
+    sizes = _count_calls(monkeypatch, "diqpv.geometry", "region_size")
+    assert main(["geometry", "--out", str(tmp_path / "geo"), "--dim", "all",
+                 "--mc-outer", "500"]) == 0
+    assert len(advantage) == 3
+    assert len(draws) == 3
+    assert len(sizes) == 9
+
+
+def test_geometry_zero_area_quantum_region_above_1d(tmp_path):
+    # No uncertainty and a sum cap equal to the separation: the quantum
+    # region is a segment on the station axis, so it has zero area and
+    # volume in every draw.
+    cfg = tmp_path / "timing.json"
+    cfg.write_text(json.dumps({
+        "s_vap_ns": 2000.0, "s_vb_ns": 0.0, "r_vap_ns": 4000.0, "r_vb_ns": 3000.0,
+        "d_sep_m": SPEED_OF_LIGHT_M_PER_NS * 1000.0,
+    }))
+    out = tmp_path / "geo"
+    assert main(["geometry", "--out", str(out), "--config", str(cfg), "--dim", "all",
+                 "--mc-outer", "200"]) == 0
+    adv = _read_json(out / "report.json")["advantage"]
+    assert adv["1d"]["ideal"]["ratio"] == pytest.approx(1.0, rel=1e-12)
+    assert adv["1d"]["comparable"]["ratio"] == pytest.approx(3.0, rel=1e-12)
+    for dim in ("2d", "3d"):
+        for comparator in ("ideal", "comparable"):
+            entry = adv[dim][comparator]
+            assert entry["degenerate"] is True
+            assert entry["ratio"] is None and entry["sigma"] is None
+            assert entry["note"] == ("empty quantum region: no parameter draw "
+                                     "produced a nonempty quantum region")
 
 
 def test_fit_reference_counts(tmp_path):

@@ -12,6 +12,7 @@ from diqpv.geometry import (
     TimingGeometry,
     axis_interval,
     classical_lengths_ok,
+    classical_sizes,
     point_in_classical_region,
     point_in_quantum_region,
     quantum_advantage,
@@ -270,9 +271,35 @@ def test_region_size_validation(spec):
         region_size("donut", spec, 2)
 
 
+def test_classical_sizes_union_and_comparators():
+    # Floats: the union counts the lens overlap (the quantum region) once.
+    assert classical_sizes(1, 3.0, 5.0, 4.0, 2.0) == {
+        "union": 6.0, "comparable": 9.0, "ideal": 2.0}
+    for dim in (2, 3):
+        assert classical_sizes(dim, 3.0, 5.0, 4.0, 2.0) == {
+            "union": 6.0, "comparable": 6.0, "ideal": 0.0}
+    # Arrays of draws, one entry per draw.
+    q, a, b = np.array([1.0, 2.0]), np.array([3.0, 5.0]), np.array([4.0, 6.0])
+    one = classical_sizes(1, q, a, b, 1.0)
+    np.testing.assert_array_equal(one["union"], [6.0, 9.0])
+    np.testing.assert_array_equal(one["comparable"], [7.0, 11.0])
+    assert one["ideal"] == 1.0
+    np.testing.assert_array_equal(classical_sizes(3, q, a, b, 1.0)["comparable"], [6.0, 9.0])
+
+
+def test_quantum_advantage_returns_both_comparators(tg):
+    res = quantum_advantage(tg, 1, mc_outer=1_000, seed=2)
+    assert list(res) == ["ideal", "comparable"]
+    assert [r.comparator for r in res.values()] == ["ideal", "comparable"]
+    assert all(r.dim == 1 and not r.degenerate for r in res.values())
+    res3 = quantum_advantage(tg, 3, mc_outer=1_000, seed=2)
+    assert res3["ideal"].degenerate and not res3["comparable"].degenerate
+    assert res3["ideal"].empty_fraction == res3["comparable"].empty_fraction
+
+
 def test_quantum_advantage_reference_bands(tg):
     for (dim, comparator), (expect, spread) in REFERENCE_ADVANTAGE.items():
-        res = quantum_advantage(tg, dim, comparator, mc_outer=20_000, seed=11)
+        res = quantum_advantage(tg, dim, mc_outer=20_000, seed=11)[comparator]
         assert not res.degenerate
         assert res.empty_fraction <= 0.01
         assert abs(res.ratio - expect) <= 3.0 * max(spread, 0.02) + 0.05
@@ -281,15 +308,15 @@ def test_quantum_advantage_reference_bands(tg):
 
 
 def test_quantum_advantage_deterministic(tg):
-    a = quantum_advantage(tg, 1, "comparable", mc_outer=5_000, seed=7)
-    b = quantum_advantage(tg, 1, "comparable", mc_outer=5_000, seed=7)
+    a = quantum_advantage(tg, 1, mc_outer=5_000, seed=7)["comparable"]
+    b = quantum_advantage(tg, 1, mc_outer=5_000, seed=7)["comparable"]
     assert a.ratio == b.ratio and a.sigma == b.sigma
 
 
 def test_quantum_advantage_1d_comparable_is_ideal_plus_two(tg):
     # lens A + lens B = d + 2 quantum on the axis, draw by draw.
-    ideal = quantum_advantage(tg, 1, "ideal", mc_outer=20_000, seed=13)
-    comp = quantum_advantage(tg, 1, "comparable", mc_outer=20_000, seed=13)
+    ideal = quantum_advantage(tg, 1, mc_outer=20_000, seed=13)["ideal"]
+    comp = quantum_advantage(tg, 1, mc_outer=20_000, seed=13)["comparable"]
     assert ideal.samples.size == comp.samples.size == 20_000
     np.testing.assert_allclose(comp.samples, ideal.samples + 2.0, rtol=1e-12, atol=0)
 
@@ -302,18 +329,18 @@ def test_quantum_advantage_zero_uncertainty_matches_closed_form(tg):
     spec = region_spec(exact)
     q, a, b = (hi - lo for lo, hi in (axis_interval(r, spec)
                                       for r in ("quantum", "lens_a", "lens_b")))
-    res = quantum_advantage(exact, 1, "comparable", mc_outer=200, seed=3)
+    res = quantum_advantage(exact, 1, mc_outer=200, seed=3)["comparable"]
     assert res.sigma <= 1e-12
     assert res.ratio == pytest.approx((a + b) / q, rel=1e-12)
     assert res.ratio == pytest.approx((196.321 + 156.570) / 78.895, rel=0.02)
-    ideal = quantum_advantage(exact, 1, "ideal", mc_outer=200, seed=3)
+    ideal = quantum_advantage(exact, 1, mc_outer=200, seed=3)["ideal"]
     assert ideal.ratio == pytest.approx(spec.d_sep / q, rel=1e-12)
     assert ideal.ratio == pytest.approx(195.1 / 78.895, rel=0.02)
 
 
 def test_quantum_advantage_ideal_degenerate_above_1d(tg):
     for dim in (2, 3):
-        res = quantum_advantage(tg, dim, "ideal", mc_outer=2_000, seed=5)
+        res = quantum_advantage(tg, dim, mc_outer=2_000, seed=5)["ideal"]
         assert res.degenerate
         assert res.ratio == math.inf
         assert res.samples.size == 0
@@ -325,13 +352,13 @@ def test_quantum_advantage_empty_aborts():
         d_sep_m=50.0, r_vap_sigma_ns=0.5,
     )
     with pytest.raises(EmptyRegionError, match="empty quantum region"):
-        quantum_advantage(marginal, 1, "comparable", mc_outer=5_000)
+        quantum_advantage(marginal, 1, mc_outer=5_000)["comparable"]
     shaky_d = TimingGeometry(
         s_vap_ns=1000.0, s_vb_ns=1000.0, r_vap_ns=2000.0, r_vb_ns=2000.0,
         d_sep_m=0.5, d_sep_sigma_m=0.3,
     )
     with pytest.raises(EmptyRegionError, match="separation"):
-        quantum_advantage(shaky_d, 1, "comparable", mc_outer=5_000)
+        quantum_advantage(shaky_d, 1, mc_outer=5_000)["comparable"]
 
 
 def test_quantum_advantage_counts_unreachable_cap_as_empty():
@@ -342,16 +369,16 @@ def test_quantum_advantage_counts_unreachable_cap_as_empty():
         s_vap_ns=0.0, s_vb_ns=100.0, r_vap_ns=400.0, r_vb_ns=500.0,
         d_sep_m=87.36, d_sep_sigma_m=1.0,
     )
-    res = quantum_advantage(tight, 1, "comparable", mc_outer=20_000, seed=3)
+    res = quantum_advantage(tight, 1, mc_outer=20_000, seed=3)["comparable"]
     assert 0.003 <= res.empty_fraction <= 0.007
     assert res.samples.size == round(20_000 * (1.0 - res.empty_fraction))
 
 
 def test_quantum_advantage_validation(tg):
     with pytest.raises(ValueError):
-        quantum_advantage(tg, 4, "comparable", mc_outer=100)
-    with pytest.raises(ValueError):
-        quantum_advantage(tg, 1, "best", mc_outer=100)
+        quantum_advantage(tg, 4, mc_outer=100)
+    with pytest.raises(ValueError, match="mc_outer must be at least 1"):
+        quantum_advantage(tg, 1, mc_outer=0)
 
 
 def test_speed_of_light_constant():
