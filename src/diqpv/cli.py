@@ -116,12 +116,28 @@ def _check_keys(what: str, cfg: dict, required, known) -> None:
         raise ValueError(f"unknown {what} keys {sorted(unknown)}; expected {sorted(known)}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_numbers(what: str, cfg: dict, lists=()) -> None:
+    """Reject a config value that is not an int or a float (bools and strings
+    included); each key in lists holds a list of such numbers instead."""
+    for key, value in cfg.items():
+        if key in lists:
+            if not (isinstance(value, list) and all(map(_is_number, value))):
+                raise ValueError(f"{what} key {key!r} must be a list of numbers, got {value!r}")
+        elif not _is_number(value):
+            raise ValueError(f"{what} key {key!r} must be a number, got {value!r}")
+
+
 def _timing_from_arg(path) -> TimingGeometry:
     if not path:
         return timing_geometry()
     cfg = _load_json(path)
     fields = TimingGeometry.__dataclass_fields__
     _check_keys("timing", cfg, [k for k, f in fields.items() if f.default is MISSING], fields)
+    _check_numbers("timing", cfg)
     return TimingGeometry(**cfg)
 
 
@@ -139,7 +155,9 @@ def _resolve_model(shortcut, cfg: dict):
     if kind == "honest":
         _check_keys("honest model", spec, (), {"kind", *HonestProverModel.__dataclass_fields__})
         fields = {k: v for k, v in spec.items() if k != "kind"}
-        for key in ("angles_a_deg", "angles_p_deg"):
+        angles = ("angles_a_deg", "angles_p_deg")
+        _check_numbers("honest model", fields, lists=angles)
+        for key in angles:
             if key in fields:
                 fields[key] = tuple(fields[key])
         if "amp_a" in fields or "amp_b" in fields:
@@ -156,7 +174,9 @@ def _resolve_model(shortcut, cfg: dict):
     key = _ADVERSARY_KEYS[kind]
     _check_keys(f"{kind} model", spec, (key,), ("kind", key))
     if kind == "lr_vertex":
-        model = AdversaryModel.lr_vertex(int(spec[key]))
+        if not isinstance(spec[key], int) or isinstance(spec[key], bool):
+            raise ValueError(f"lr_vertex model key {key!r} must be an int, got {spec[key]!r}")
+        model = AdversaryModel.lr_vertex(spec[key])
     elif kind == "lr_mixture":
         model = AdversaryModel.lr_mixture(np.asarray(spec[key], dtype=np.float64))
     else:

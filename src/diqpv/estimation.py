@@ -44,9 +44,6 @@ class ConditionalDistribution2:
             raise ValueError("behavior violates the quantum-set constraints")
         object.__setattr__(self, "table", t)
 
-    def get(self, oqa, oqp, mqa, mqp) -> float:
-        return float(self.table[mqa - 1, mqp - 1, oqa - 1, oqp - 1])
-
 
 @dataclass(frozen=True)
 class ConditionalDistribution3:
@@ -69,23 +66,6 @@ class ConditionalDistribution3:
         if np.abs(sums - 1.0).max() > 1e-12:
             raise ValueError("each settings block must sum to 1")
         object.__setattr__(self, "table", t)
-
-    def get(self, oqa, zqa, zqb, mqa, mqp) -> float:
-        return float(self.table[mqa - 1, mqp - 1, oqa - 1, zqa - 1, zqb - 1])
-
-    def mismatch_mass(self) -> np.ndarray:
-        """Probability of za != zb per settings pair, shape (2, 2)."""
-        t = self.table
-        return (t[:, :, :, 0, 1] + t[:, :, :, 1, 0]).sum(axis=2)
-
-    def matched_conditional(self) -> np.ndarray:
-        """Matched-sector behavior renormalized per settings pair."""
-        t = self.table
-        m = np.stack([t[:, :, :, z, z] for z in range(2)], axis=-1)
-        tot = m.sum(axis=(2, 3))
-        if (tot <= 0).any():
-            raise DegenerateDataError("a settings pair has no matched mass")
-        return m / tot[:, :, None, None]
 
 
 def _matched_counts(counts) -> np.ndarray:

@@ -90,40 +90,6 @@ def region_spec(tg: TimingGeometry) -> RegionSpec:
     return RegionSpec(*lengths, d_sep=tg.d_sep_m)
 
 
-def _lengths(point, d_sep: float):
-    p = np.asarray(point, dtype=np.float64).reshape(-1)
-    if not 1 <= p.size <= 3:
-        raise ValueError("point must have 1 to 3 coordinates")
-    la = float(np.linalg.norm(p))
-    q = p.copy()
-    q[0] -= d_sep
-    lb = float(np.linalg.norm(q))
-    return la, lb
-
-
-def quantum_lengths_ok(la, lb, spec: RegionSpec):
-    """Vectorized membership test of the quantum region in (l_A, l_B)."""
-    cap = min(spec.ellipse_ab, spec.ellipse_ba)
-    return (la <= spec.radius_a) & (lb <= spec.radius_b) & (la + lb <= cap)
-
-
-def classical_lengths_ok(la, lb, spec: RegionSpec):
-    """Vectorized membership test of the lens union in (l_A, l_B)."""
-    lens_a = (la <= spec.radius_a) & (la + lb <= spec.ellipse_ba)
-    lens_b = (lb <= spec.radius_b) & (la + lb <= spec.ellipse_ab)
-    return lens_a | lens_b
-
-
-def point_in_quantum_region(point, spec: RegionSpec) -> bool:
-    la, lb = _lengths(point, spec.d_sep)
-    return bool(quantum_lengths_ok(la, lb, spec))
-
-
-def point_in_classical_region(point, spec: RegionSpec) -> bool:
-    la, lb = _lengths(point, spec.d_sep)
-    return bool(classical_lengths_ok(la, lb, spec))
-
-
 def _chords(region: str, ra, rb, s_ab, s_ba, d):
     """A region's constraints as squared half-chords, stations at 0 and d.
 

@@ -61,16 +61,6 @@ class HPolytope:
             return False
         return True
 
-    def residual(self, x) -> float:
-        """Largest constraint violation at x (0 means inside)."""
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        parts = [0.0, float((-x).max(initial=0.0)), float((x - 1).max(initial=0.0))]
-        if self.a_eq.size:
-            parts.append(float(np.abs(self.a_eq @ x - self.b_eq).max()))
-        if self.a_ub.size:
-            parts.append(float((self.a_ub @ x - self.b_ub).max(initial=0.0)))
-        return max(parts)
-
 
 def correlator_rows() -> np.ndarray:
     """Rows E[ma, mp] . sigma giving the four correlators, shape (4, 16)."""
@@ -78,11 +68,6 @@ def correlator_rows() -> np.ndarray:
     for ma, mp, oa, op in product(range(2), repeat=4):
         rows[2 * ma + mp, ma, mp, oa, op] = 1.0 if oa == op else -1.0
     return rows.reshape(4, 16)
-
-
-def chsh_row(signs) -> np.ndarray:
-    """One signed correlator combination as a length-16 objective row."""
-    return np.asarray(signs, dtype=np.float64) @ correlator_rows()
 
 
 def chsh_values(sigma) -> np.ndarray:
@@ -125,19 +110,6 @@ def quantum_set() -> HPolytope:
         b_eq=np.array(rhs),
         a_ub=a_ub,
         b_ub=np.full(8, TSIRELSON),
-    )
-
-
-def ns_polytope2() -> HPolytope:
-    """Two-party no-signaling polytope (quantum_set without the caps)."""
-    q = quantum_set()
-    return HPolytope(
-        name="ns2",
-        dim=16,
-        a_eq=q.a_eq,
-        b_eq=q.b_eq,
-        a_ub=np.zeros((0, 16)),
-        b_ub=np.zeros(0),
     )
 
 
@@ -198,22 +170,6 @@ def lr_vertices() -> np.ndarray:
             fp = (p // 2, p % 2)
             for ma, mp in product(range(2), repeat=2):
                 out[4 * a + p, ma, mp, fa[ma], fp[mp]] = 1.0
-    return out
-
-
-def pr_box(alpha: int = 0, beta: int = 0, gamma: int = 0) -> np.ndarray:
-    """A Popescu-Rohrlich box variant, shape (2, 2, 2, 2).
-
-    Outcomes satisfy (oa - 1) xor (op - 1) = ma' mp' xor alpha ma' xor
-    beta mp' xor gamma (primes denoting 0-based settings), each side
-    locally uniform.  The default saturates the correlator combination
-    E00 + E01 + E10 - E11 at 4.
-    """
-    out = np.zeros((2, 2, 2, 2))
-    for ma, mp, oa, op in product(range(2), repeat=4):
-        target = (ma * mp) ^ (alpha * ma) ^ (beta * mp) ^ gamma
-        if (oa ^ op) == target:
-            out[ma, mp, oa, op] = 0.5
     return out
 
 
@@ -306,25 +262,3 @@ def max_shift_within(c0, c1, poly: HPolytope, bound: float, t_max: float):
     if res.status != 0:
         raise LpStructureError(f"{poly.name}: dual LP status {res.status} ({res.message})")
     return float(res.x[-1]), res.x[:m]
-
-
-def prover_swap(mu) -> np.ndarray:
-    """Exchange the two adversary stations of mu[ma, b, bp, oa, za, zb]."""
-    m = np.asarray(mu, dtype=np.float64).reshape(2, 2, 2, 2, 2, 2)
-    return m.transpose(0, 2, 1, 3, 5, 4)
-
-
-def two_party_marginal(mu, bp: int = 0) -> np.ndarray:
-    """Marginal behavior of (verifier, first station), shape (2, 2, 2, 2).
-
-    Sums out the second station's outcome at its input bp; for a point of
-    the no-signaling polytope the choice of bp is immaterial.  Axes of the
-    result are (ma, b, oa, za).
-    """
-    m = np.asarray(mu, dtype=np.float64).reshape(2, 2, 2, 2, 2, 2)
-    return m[:, :, bp].sum(axis=-1)
-
-
-def uniform_ns3() -> np.ndarray:
-    """The maximally mixed three-party behavior (every cell 1/8)."""
-    return np.full((2, 2, 2, 2, 2, 2), 1.0 / 8.0)

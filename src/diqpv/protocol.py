@@ -51,8 +51,8 @@ from .testfactor import (
 from .trialdata import (
     CountsTable,
     JointSettingsDistribution,
+    _checked_codes,
     aggregate_counts,
-    pack_records,
     read_trial_header,
     settings_weights,
 )
@@ -158,21 +158,14 @@ def run_instance_from_counts(
     )
 
 
-def run_instance(trials, tf: TestFactor, params: ProtocolParams) -> InstanceResult:
-    """Evaluate an instance from a stream of trial records.
+def run_instance(codes, tf: TestFactor, params: ProtocolParams) -> InstanceResult:
+    """Evaluate an instance from its packed trial codes (see pack_records).
 
-    Accepts an (n, 5) record array, packed uint8 codes, or an iterable of
-    records.  Streams longer than params.n are truncated by discarding
-    trials from the end; shorter ones are padded with neutral trials.
+    Streams longer than params.n are truncated by discarding trials from
+    the end; shorter ones are padded with neutral trials.
     """
-    if isinstance(trials, np.ndarray) and trials.ndim == 1:
-        codes = trials
-    else:
-        codes = pack_records(trials)
-    if codes.size > params.n:
-        codes = codes[: params.n]
-    counts = aggregate_counts(codes)
-    return run_instance_from_counts(counts, int(codes.size), tf, params)
+    codes = _checked_codes(codes)[: params.n]
+    return run_instance_from_counts(aggregate_counts(codes), int(codes.size), tf, params)
 
 
 def r_lower_bound(sum_log_w: float, n: int, delta: float, wbar_prime_min: float) -> float:
@@ -197,29 +190,15 @@ def z_for_epsilon(epsilon: float) -> float:
     return NormalDist().inv_cdf(epsilon)
 
 
-def p_succ(n: int, g: float, v: float, delta: float) -> float:
-    """CLT success probability of an honest instance.
-
-    g and v are the per-trial gain and variance of log2 w; the threshold
-    is log2(1/delta).  With n g equal to the threshold this is 1/2.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if v < 0:
-        raise ValueError("variance must be nonnegative")
-    margin = n * g + math.log2(delta)
-    if v == 0.0:
-        return 1.0 if margin > 0 else (0.5 if margin == 0 else 0.0)
-    x = margin / math.sqrt(n * v)
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def required_trials(g: float, v: float, delta: float, epsilon: float) -> int:
-    """Smallest n with p_succ(n) >= epsilon.
+    """Smallest n whose CLT success probability is at least Phi(z_for_epsilon(epsilon)).
 
-    Solves the quadratic in sqrt(n) for the CLT crossing, then verifies on
-    the integer grid (the margin is monotone in n).  delta >= 1 needs no
-    trials; g <= 0 admits no finite n.
+    n trials succeed with probability Phi((n g - log2(1/delta)) / sqrt(n v)),
+    or at v = 0 with 1 once n g >= log2(1/delta).  The target is epsilon
+    except at the rounded published quantiles: 0.97725 maps to z = 2, and
+    Phi(2) = 0.97724987 is just below it.  Solves the quadratic in sqrt(n)
+    for the crossing, then verifies on the integer grid (the margin is
+    monotone in n).  delta >= 1 needs no trials; g <= 0 admits no finite n.
     """
     big = -math.log2(delta)
     if big <= 0:
@@ -398,28 +377,6 @@ def achievable_rth(
     return np.where((n >= 1) & (rates > 0.0), rates, 0.0)
 
 
-class ArrayTrialSource:
-    """In-memory trial source for segmentation (packed uint8 codes)."""
-
-    def __init__(self, codes: np.ndarray, error: bool = False, label: str = ""):
-        codes = np.asarray(codes, dtype=np.uint8)
-        if codes.size and codes.max() > 31:
-            raise ValueError("packed code out of range")
-        self._codes = codes
-        self.error = bool(error)
-        self.label = label or "mem"
-        self.trials = int(codes.size)
-        self._counts: CountsTable | None = None
-
-    def counts(self) -> CountsTable:
-        if self._counts is None:
-            self._counts = aggregate_counts(self._codes)
-        return self._counts
-
-    def prefix_counts(self, k: int) -> CountsTable:
-        return aggregate_counts(self._codes[:k])
-
-
 class FileTrialSource:
     """Disk-backed trial source; reads the header eagerly, trials lazily."""
 
@@ -519,7 +476,7 @@ def segment_and_analyze(
 ) -> list[AnalyzedInstance]:
     """Walk a run of trial files: calibrate, build factors, score instances.
 
-    sources is a sequence of trial sources (see ArrayTrialSource) in run
+    sources is a sequence of trial sources (see FileTrialSource) in run
     order.  Needs ten error-free files and at least one file after them;
     raises DegenerateDataError otherwise.  Error-flagged files are never
     used for calibration but are consumed by instances.  If params.n is

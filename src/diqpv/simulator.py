@@ -39,13 +39,6 @@ DEFAULT_PAIR_PROB = 1.0 / 350.0
 DEFAULT_MISMATCH = 2e-6
 
 
-def challenge_to_setting(cba: int, cbb: int) -> int:
-    """Prover setting from the two challenge bits: their parity plus 1."""
-    if cba not in (1, 2) or cbb not in (1, 2):
-        raise ValueError("challenge bits must be 1 or 2")
-    return ((cba - 1) ^ (cbb - 1)) + 1
-
-
 @dataclass(frozen=True)
 class HonestProverModel:
     """Physical model of the honest source, analyzers, and detectors."""

@@ -116,11 +116,6 @@ class TestFactor:
             out[:, :, :, z, z] = self.matched[:, :, :, z].transpose(0, 2, 1)
         return out
 
-    def value(self, mqa, oqa, mqp, zqa, zqb) -> float:
-        if zqa == zqb:
-            return float(self.matched[mqa - 1, mqp - 1, oqa - 1, zqa - 1])
-        return float(self.mismatch)
-
     def global_min(self) -> float:
         return float(min(self.matched.min(), self.mismatch))
 
@@ -278,8 +273,7 @@ def assemble_robust(wlr: MatchedFactor, lam: float, nu, duals, meta=None) -> Tes
     """
     if lam < 0:
         raise ValueError("mismatch constant must be nonnegative")
-    matched = np.stack([wlr.table[:, :, :, z] for z in range(2)], axis=-1)
-    return certified_factor(matched, float(lam), settings_weights(nu), duals, meta)
+    return certified_factor(wlr.table, float(lam), nu, duals, meta)
 
 
 def wbar_min(tf: TestFactor, nu=None) -> float:

@@ -1,4 +1,4 @@
-"""Trial records, binary trial files, counts tables, and matched frequencies.
+"""Packed trial codes, binary trial files, counts tables, and settings weights.
 
 A trial is summarized by the reduced record
 
@@ -32,8 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError
-
 MAGIC = b"QPVT"
 VERSION = 1
 FLAG_DETECTOR_ERROR = 0x01
@@ -46,65 +44,39 @@ FIELD_NAMES = ("mqa", "oqa", "mqp", "zqa", "zqb")
 _BITS = np.array([16, 8, 4, 2, 1], dtype=np.uint8)
 
 
-@dataclass(frozen=True, slots=True)
-class TrialRecord:
-    """One reduced trial record; every field is 1 or 2."""
+def _checked_codes(codes, what: str = "packed code") -> np.ndarray:
+    """codes as a 1-D uint8 array of packed records.
 
-    mqa: int
-    oqa: int
-    mqp: int
-    zqa: int
-    zqb: int
-
-    def __post_init__(self):
-        for name in FIELD_NAMES:
-            v = getattr(self, name)
-            if v not in (1, 2):
-                raise ValueError(f"{name} must be 1 or 2, got {v!r}")
-
-    def astuple(self) -> tuple[int, int, int, int, int]:
-        return (self.mqa, self.oqa, self.mqp, self.zqa, self.zqb)
-
-
-def _as_record_array(records) -> np.ndarray:
-    """Coerce records to an (n, 5) uint8 array of values in {1, 2}."""
-    if isinstance(records, np.ndarray) and records.ndim == 2 and records.shape[1] == 5:
-        arr = records
-    else:
-        rows = [r.astuple() if isinstance(r, TrialRecord) else tuple(r) for r in records]
-        arr = np.array(rows, dtype=np.uint8).reshape(len(rows), 5)
-    arr = np.asarray(arr, dtype=np.uint8)
-    if arr.size and (arr.min() < 1 or arr.max() > 2):
-        raise ValueError("record fields must all be 1 or 2")
-    return arr
+    ValueError unless codes is a 1-D integer array with every value in
+    0..31; the values are checked before the cast to uint8.
+    """
+    codes = np.asarray(codes)
+    if codes.ndim != 1 or codes.dtype.kind not in "iu":
+        raise ValueError(f"{what}s must form a 1-D integer array, got {codes.dtype} {codes.shape}")
+    if codes.size and (codes.max() > 31 or (codes.dtype.kind == "i" and codes.min() < 0)):
+        raise ValueError(f"{what} out of range 0..31")
+    return codes.astype(np.uint8, copy=False)
 
 
 def pack_records(records) -> np.ndarray:
-    """Pack records into payload bytes (uint8 codes in 0..31)."""
-    arr = _as_record_array(records)
+    """Pack records into payload bytes (uint8 codes in 0..31).
+
+    records is an (n, 5) array or a sequence of 5-tuples, every field 1 or 2.
+    """
+    arr = np.asarray(records, dtype=np.int64).reshape(len(records), 5)
+    if arr.size and (arr.min() < 1 or arr.max() > 2):
+        raise ValueError("record fields must all be 1 or 2")
     return ((arr - 1) * _BITS).sum(axis=1).astype(np.uint8)
 
 
-def unpack_codes(codes: np.ndarray) -> np.ndarray:
+def unpack_codes(codes) -> np.ndarray:
     """Inverse of pack_records; returns an (n, 5) uint8 array."""
-    codes = np.asarray(codes, dtype=np.uint8)
-    if codes.size and codes.max() > 31:
-        raise ValueError("payload byte has nonzero high bits")
-    out = np.empty((codes.size, 5), dtype=np.uint8)
-    for j, bit in enumerate(_BITS):
-        out[:, j] = (codes // bit) % 2 + 1
-    return out
+    return _checked_codes(codes)[:, None] // _BITS % 2 + 1
 
 
 def write_trials(path, records, detector_error: bool = False) -> None:
-    """Write a trial file; records may be TrialRecords, tuples, an (n, 5)
-    array, or already-packed uint8 codes."""
-    if isinstance(records, np.ndarray) and records.ndim == 1 and records.dtype == np.uint8:
-        payload = records
-        if payload.size and payload.max() > 31:
-            raise ValueError("packed code out of range")
-    else:
-        payload = pack_records(records)
+    """Write a trial file; records are packed codes (see pack_records)."""
+    payload = _checked_codes(records)
     flags = FLAG_DETECTOR_ERROR if detector_error else 0
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, flags, payload.size))
@@ -140,9 +112,7 @@ def read_trial_codes(path, limit: int | None = None) -> tuple[np.ndarray, bool]:
         payload = np.frombuffer(fh.read(want), dtype=np.uint8)
     if payload.size != want:
         raise ValueError(f"{path}: expected {want} trials, found {payload.size}")
-    if payload.size and payload.max() > 31:
-        raise ValueError(f"{path}: payload byte has nonzero high bits")
-    return payload, error
+    return _checked_codes(payload, f"{path}: payload byte"), error
 
 
 def read_trial_header(path) -> tuple[int, bool]:
@@ -174,9 +144,6 @@ class CountsTable:
     def zeros(cls) -> "CountsTable":
         return cls(np.zeros((2, 2, 2, 2, 2), dtype=np.int64))
 
-    def get(self, mqa, oqa, mqp, zqa, zqb) -> int:
-        return int(self.table[mqa - 1, oqa - 1, mqp - 1, zqa - 1, zqb - 1])
-
     @property
     def total(self) -> int:
         return int(self.table.sum())
@@ -193,38 +160,11 @@ class CountsTable:
             out[:, :, :, z] = t[:, :, :, z, z].transpose(0, 2, 1)
         return out
 
-    def mismatched_total(self) -> np.ndarray:
-        """Counts with zqa != zqb, summed per settings pair, as M[ma, mp]."""
-        t = self.table
-        m = t[:, :, :, 0, 1] + t[:, :, :, 1, 0]
-        return m.sum(axis=1).astype(np.int64)
 
-
-def aggregate_counts(records) -> CountsTable:
-    """Tally records (or packed codes) into a CountsTable."""
-    if isinstance(records, np.ndarray) and records.ndim == 1:
-        codes = np.asarray(records, dtype=np.uint8)
-        if codes.size and codes.max() > 31:
-            raise ValueError("packed code out of range")
-    else:
-        codes = pack_records(records)
-    flat = np.bincount(codes, minlength=32).astype(np.int64)
+def aggregate_counts(codes) -> CountsTable:
+    """Tally packed codes (see pack_records) into a CountsTable."""
+    flat = np.bincount(_checked_codes(codes), minlength=32).astype(np.int64)
     return CountsTable(flat.reshape(2, 2, 2, 2, 2))
-
-
-def match_frequencies(counts: CountsTable) -> np.ndarray:
-    """Conditional outcome frequencies on the matched sector.
-
-    Restricts to zqa == zqb and normalizes per settings pair, giving
-    f[ma, mp, oa, op] with each 2x2 outcome block summing to 1.  Raises
-    DegenerateDataError if any settings pair has no matched counts.
-    """
-    m = counts.matched().astype(np.float64)
-    tot = m.sum(axis=(2, 3))
-    if (tot <= 0).any():
-        bad = [(ma + 1, mp + 1) for ma, mp in zip(*np.nonzero(tot <= 0))]
-        raise DegenerateDataError(f"no matched counts for settings pairs {bad}")
-    return m / tot[:, :, None, None]
 
 
 @dataclass(frozen=True)
@@ -246,9 +186,6 @@ class JointSettingsDistribution:
     @classmethod
     def uniform(cls) -> "JointSettingsDistribution":
         return cls(np.full((2, 2), 0.25))
-
-    def get(self, mqa, mqp) -> float:
-        return float(self.table[mqa - 1, mqp - 1])
 
 
 def settings_weights(nu) -> np.ndarray:
@@ -272,10 +209,8 @@ def export_counts_csv(counts: CountsTable, path) -> None:
     """Write the 32-cell counts table as CSV with one row per cell."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(FIELD_NAMES) + ",count\n")
-        for code in range(32):
-            fields = unpack_codes(np.array([code], dtype=np.uint8))[0]
-            fh.write(",".join(str(int(v)) for v in fields))
-            fh.write(f",{int(counts.table.reshape(-1)[code])}\n")
+        for fields, count in zip(unpack_codes(np.arange(32)), counts.table.reshape(32)):
+            fh.write(",".join(str(int(v)) for v in fields) + f",{int(count)}\n")
 
 
 def read_counts_csv(path) -> CountsTable:

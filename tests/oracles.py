@@ -226,6 +226,36 @@ def lambda_max_bisection(table, nu, tol=1e-9):
     return min(lo, 1.0)
 
 
+# Factor value of one record, read off the matched table by its 1-based labels
+
+
+def factor_value(tf, mqa, oqa, mqp, zqa, zqb) -> float:
+    if zqa == zqb:
+        return float(tf.matched[mqa - 1, mqp - 1, oqa - 1, zqa - 1])
+    return float(tf.mismatch)
+
+
+# CLT success probability of an honest instance, the definition behind
+# required_trials
+
+
+def p_succ(n: int, g: float, v: float, delta: float) -> float:
+    """CLT success probability of an honest instance.
+
+    g and v are the per-trial gain and variance of log2 w; the threshold
+    is log2(1/delta).  With n g equal to the threshold this is 1/2.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if v < 0:
+        raise ValueError("variance must be nonnegative")
+    margin = n * g + math.log2(delta)
+    if v == 0.0:
+        return 1.0 if margin > 0 else (0.5 if margin == 0 else 0.0)
+    x = margin / math.sqrt(n * v)
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 # Compensated summation, textbook recurrence
 
 
@@ -252,6 +282,40 @@ REGION_TESTS = {
 }
 REGION_TESTS["classical"] = lambda la, lb, s: (
     REGION_TESTS["lens_a"](la, lb, s) | REGION_TESTS["lens_b"](la, lb, s))
+
+
+def _lengths(point, d_sep: float):
+    p = np.asarray(point, dtype=np.float64).reshape(-1)
+    if not 1 <= p.size <= 3:
+        raise ValueError("point must have 1 to 3 coordinates")
+    la = float(np.linalg.norm(p))
+    q = p.copy()
+    q[0] -= d_sep
+    lb = float(np.linalg.norm(q))
+    return la, lb
+
+
+def quantum_lengths_ok(la, lb, spec):
+    """Vectorized membership test of the quantum region in (l_A, l_B)."""
+    cap = min(spec.ellipse_ab, spec.ellipse_ba)
+    return (la <= spec.radius_a) & (lb <= spec.radius_b) & (la + lb <= cap)
+
+
+def classical_lengths_ok(la, lb, spec):
+    """Vectorized membership test of the lens union in (l_A, l_B)."""
+    lens_a = (la <= spec.radius_a) & (la + lb <= spec.ellipse_ba)
+    lens_b = (lb <= spec.radius_b) & (la + lb <= spec.ellipse_ab)
+    return lens_a | lens_b
+
+
+def point_in_quantum_region(point, spec) -> bool:
+    la, lb = _lengths(point, spec.d_sep)
+    return bool(quantum_lengths_ok(la, lb, spec))
+
+
+def point_in_classical_region(point, spec) -> bool:
+    la, lb = _lengths(point, spec.d_sep)
+    return bool(classical_lengths_ok(la, lb, spec))
 
 
 def axis_scan(region, spec, samples=400_001):

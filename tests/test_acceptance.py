@@ -24,17 +24,12 @@ from golden import (
     behavior_array,
     factor_array,
 )
-from oracles import lr_member_oracle
+from helpers import prover_swap, two_party_marginal, uniform_ns3
+from oracles import lr_member_oracle, point_in_classical_region, point_in_quantum_region
 
 from diqpv.estimation import cell_probabilities, ml_fit_quantum
-from diqpv.geometry import (
-    point_in_classical_region,
-    point_in_quantum_region,
-    quantum_advantage,
-    region_size,
-    region_spec,
-)
-from diqpv.polytopes import max_linear, ns3_polytope, prover_swap, two_party_marginal, uniform_ns3
+from diqpv.geometry import quantum_advantage, region_size, region_spec
+from diqpv.polytopes import max_linear, ns3_polytope
 from diqpv.protocol import (
     ProtocolParams,
     plan_entanglement,

@@ -189,7 +189,13 @@ def test_simulate_argument_validation(tmp_path, capsys):
 @pytest.mark.parametrize("model, message", [
     ({"kind": "honest", "bogus": 1}, "error: unknown honest model keys ['bogus']"),
     ({"kind": "lr_vertex"}, "error: missing lr_vertex model keys ['index']"),
-], ids=["honest-unknown-key", "lr-vertex-missing-index"])
+    ({"kind": "honest", "eta_a": "0.5"},
+     "error: honest model key 'eta_a' must be a number, got '0.5'"),
+    ({"kind": "honest", "angles_a_deg": [1.0, True]},
+     "error: honest model key 'angles_a_deg' must be a list of numbers"),
+    ({"kind": "lr_vertex", "index": "3"}, "error: lr_vertex model key 'index' must be an int"),
+], ids=["honest-unknown-key", "lr-vertex-missing-index", "honest-string-value",
+        "honest-bool-angle", "lr-vertex-string-index"])
 def test_simulate_rejects_bad_model_config(tmp_path, capsys, model, message):
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps({"model": model}))
@@ -536,6 +542,11 @@ def test_geometry_rejects_unknown_timing_keys(tmp_path, capsys):
     assert main(["geometry", "--out", str(tmp_path / "geo"), "--config", str(partial),
                  "--dim", "1", "--mc-outer", "10"]) == 1
     assert "error: missing timing keys ['d_sep_m']" in capsys.readouterr().err
+    typed = tmp_path / "typed.json"
+    typed.write_text(json.dumps({**REFERENCE_TIMING, "s_vap_ns": "0"}))
+    assert main(["geometry", "--out", str(tmp_path / "geo"), "--config", str(typed),
+                 "--dim", "1", "--mc-outer", "10"]) == 1
+    assert "error: timing key 's_vap_ns' must be a number, got '0'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mc_outer", ["0", "-3"])

@@ -11,19 +11,24 @@ from diqpv.geometry import (
     RegionSpec,
     TimingGeometry,
     axis_interval,
-    classical_lengths_ok,
     classical_sizes,
-    point_in_classical_region,
-    point_in_quantum_region,
     quantum_advantage,
-    quantum_lengths_ok,
     region_size,
     region_spec,
 )
 from diqpv.reference import timing_geometry
 
 from golden import REFERENCE_ADVANTAGE, REFERENCE_LENGTHS, REFERENCE_TIMING
-from oracles import axis_scan, direct_3d_volume, region_size_mc, sphere_volume
+from oracles import (
+    axis_scan,
+    classical_lengths_ok,
+    direct_3d_volume,
+    point_in_classical_region,
+    point_in_quantum_region,
+    quantum_lengths_ok,
+    region_size_mc,
+    sphere_volume,
+)
 
 # Nonempty bounding box, empty region: the sum cap 10 is below d = 50.
 HOLLOW = RegionSpec(radius_a=100.0, radius_b=100.0, ellipse_ab=10.0, ellipse_ba=10.0,

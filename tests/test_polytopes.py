@@ -10,22 +10,24 @@ from diqpv.estimation import ml_fit_quantum
 from diqpv.polytopes import (
     CHSH_SIGNS,
     TSIRELSON,
-    chsh_row,
     chsh_values,
     lr_vertices,
     max_linear,
     ns3_polytope,
-    ns_polytope2,
-    pr_box,
-    prover_swap,
     quantum_set,
-    two_party_marginal,
-    uniform_ns3,
 )
 from diqpv.polytopes import _dual_bound
 from diqpv.testfactor import _expected_factor_objective, assemble_robust, build_wlr, lambda_max
 from diqpv.trialdata import CountsTable
 
+from helpers import (
+    chsh_row,
+    ns_polytope2,
+    pr_box,
+    prover_swap,
+    two_party_marginal,
+    uniform_ns3,
+)
 from oracles import (
     chsh_oracle,
     lr_distance,

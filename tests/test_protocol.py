@@ -11,14 +11,12 @@ from diqpv.errors import (
     UselessFactorError,
 )
 from diqpv.protocol import (
-    ArrayTrialSource,
     FileTrialSource,
     ProtocolParams,
     achievable_delta_log2,
     achievable_rth,
     calibrate,
     n_margin,
-    p_succ,
     plan_entanglement,
     r_lower_bound,
     required_trials,
@@ -30,9 +28,10 @@ from diqpv.protocol import (
 from diqpv.estimation import cell_probabilities
 from diqpv.simulator import HonestProverModel, honest_distribution
 from diqpv.testfactor import certified_factor, certify, gain_variance, wbar_min
-from diqpv.trialdata import CountsTable, aggregate_counts, write_trials
+from diqpv.trialdata import CountsTable, aggregate_counts, pack_records, write_trials
 
-from oracles import kahan_sum
+from helpers import ArrayTrialSource
+from oracles import factor_value, kahan_sum, p_succ
 
 
 def _honest_codes(golden_sigma3, nu_uniform, count, key):
@@ -64,12 +63,12 @@ def test_run_instance_padding_is_neutral(golden_factor):
     records = [(1, 1, 1, 1, 1), (2, 1, 2, 2, 2), (1, 2, 1, 1, 1), (2, 2, 2, 1, 2)]
     short = ProtocolParams(delta=0.01, epsilon=0.9, n=4)
     padded = ProtocolParams(delta=0.01, epsilon=0.9, n=50)
-    a = run_instance(records, golden_factor, short)
-    b = run_instance(records, golden_factor, padded)
+    a = run_instance(pack_records(records), golden_factor, short)
+    b = run_instance(pack_records(records), golden_factor, padded)
     assert a.sum_log_w == b.sum_log_w
     assert a.trials_padded == 0 and b.trials_padded == 46
     assert b.trials_real == 4
-    expect = sum(math.log(golden_factor.value(*r)) for r in records)
+    expect = sum(math.log(factor_value(golden_factor, *r)) for r in records)
     assert a.sum_log_w == pytest.approx(expect, rel=1e-12)
     assert a.log2_p == pytest.approx(expect / math.log(2.0), rel=1e-12)
 
@@ -89,9 +88,9 @@ def test_zero_factor_cell_aborts(nu_uniform):
     tf = certified_factor(matched, 1.0, nu_uniform.table)
     params = ProtocolParams(delta=0.01, epsilon=0.9, n=10)
     with pytest.raises(AnalysisAbort, match="cell code 0"):
-        run_instance([(1, 1, 1, 1, 1)], tf, params)
+        run_instance(pack_records([(1, 1, 1, 1, 1)]), tf, params)
     # The same factor is fine when the dead cell goes unobserved.
-    res = run_instance([(2, 1, 1, 1, 1)], tf, params)
+    res = run_instance(pack_records([(2, 1, 1, 1, 1)]), tf, params)
     assert res.sum_log_w == 0.0
 
 
@@ -107,13 +106,13 @@ def test_counts_validation(golden_factor):
 def test_unity_factor_never_passes(nu_uniform):
     unity = certified_factor(np.ones((2, 2, 2, 2)), 1.0, nu_uniform.table)
     params = ProtocolParams(delta=0.5, epsilon=0.9, n=5)
-    res = run_instance([(1, 1, 1, 1, 1)] * 5, unity, params)
+    res = run_instance(pack_records([(1, 1, 1, 1, 1)] * 5), unity, params)
     assert res.sum_log_w == 0.0
     assert not res.passed
     # Entanglement accounting needs a settings-averaged minimum below 1.
     ent = ProtocolParams(delta=0.5, epsilon=0.9, n=5, mode="entanglement", r_th=1e-4)
     with pytest.raises(UselessFactorError):
-        run_instance([(1, 1, 1, 1, 1)] * 5, unity, ent)
+        run_instance(pack_records([(1, 1, 1, 1, 1)] * 5), unity, ent)
 
 
 def test_instance_sum_matches_compensated_oracle(golden_factor):
@@ -221,6 +220,24 @@ def test_required_trials_edge_cases():
         required_trials(0.0, 1.0, 0.5, 0.9)
     with pytest.raises(InfeasiblePlanError):
         required_trials(-1e-9, 1.0, 0.5, 0.9)
+
+
+def test_required_trials_is_the_first_n_reaching_phi_of_z(golden_factor, golden_sigma3):
+    # The target is Phi(z_for_epsilon(epsilon)), not epsilon: at the golden
+    # operating point p_succ is 0.97724988, just below 0.97725.  At v = 0 a
+    # tie n g = log2(1/delta) passes (see test_required_trials_edge_cases)
+    # where p_succ reads 1/2, so the v = 0 pair here never ties.
+    pairs = [gain_variance(golden_factor, golden_sigma3), (0.3, 0.0), (0.02, 5.0),
+             (1.0, 1.0), (1e-3, 0.1), (0.1, 4.0)]
+    for g, v in pairs:
+        for delta in (2**-64, 2**-20, 0.01, 0.5):
+            for epsilon in (0.6, 0.9, 0.95, 0.99, 0.999, 0.84134, 0.97725, 0.99865):
+                target = 0.5 * math.erfc(-z_for_epsilon(epsilon) / math.sqrt(2.0))
+                n = required_trials(g, v, delta, epsilon)
+                assert p_succ(n, g, v, delta) >= target
+                assert n == 1 or p_succ(n - 1, g, v, delta) < target
+    g, v = pairs[0]
+    assert p_succ(25_907_459, g, v, 2**-64) < 0.97725
 
 
 def test_plan_entanglement_golden(golden_factor, golden_sigma3):

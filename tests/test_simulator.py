@@ -5,13 +5,12 @@ import pytest
 from scipy.stats import chi2
 
 from diqpv.estimation import cell_probabilities
-from diqpv.polytopes import lr_vertices, pr_box, uniform_ns3
+from diqpv.polytopes import lr_vertices
 from diqpv.simulator import (
     DEFAULT_AMP_A,
     DEFAULT_AMP_B,
     AdversaryModel,
     HonestProverModel,
-    challenge_to_setting,
     honest_distribution,
     honest_matched,
     sample_trials,
@@ -21,18 +20,8 @@ from diqpv.simulator import (
 from diqpv.testfactor import certify
 from diqpv.trialdata import aggregate_counts
 
+from helpers import mismatch_mass, pr_box, uniform_ns3
 from oracles import born_matched_oracle, lr_distance
-
-
-def test_challenge_to_setting_parity():
-    assert [
-        challenge_to_setting(1, 1),
-        challenge_to_setting(1, 2),
-        challenge_to_setting(2, 1),
-        challenge_to_setting(2, 2),
-    ] == [1, 2, 2, 1]
-    with pytest.raises(ValueError):
-        challenge_to_setting(0, 1)
 
 
 def test_default_model_validates():
@@ -87,8 +76,8 @@ def test_no_pair_channel_dominates():
     sigma = honest_matched(HonestProverModel()).table
     assert sigma[:, :, 0, 0].min() > 0.998
     full = honest_distribution(HonestProverModel())
-    assert full.get(1, 1, 1, 1, 1) > 0.998
-    assert full.mismatch_mass() == pytest.approx(2e-6, abs=1e-18)
+    assert full.table[0, 0, 0, 0, 0] > 0.998
+    assert mismatch_mass(full.table) == pytest.approx(2e-6, abs=1e-18)
 
 
 def test_source_robustness_value():

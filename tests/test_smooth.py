@@ -13,12 +13,13 @@ import pytest
 import diqpv._smooth as smooth
 from diqpv import estimation, testfactor
 from diqpv.estimation import cell_probabilities, ml_fit_quantum
-from diqpv.polytopes import TSIRELSON, chsh_values, pr_box
+from diqpv.polytopes import TSIRELSON, chsh_values
 from diqpv.protocol import calibrate
 from diqpv.simulator import HonestProverModel, honest_distribution
 from diqpv.testfactor import build_wlr
 from diqpv.trialdata import CountsTable
 
+from helpers import pr_box
 from oracles import maximize_log_affine_budgeted
 
 

@@ -8,7 +8,7 @@ import pytest
 import diqpv.polytopes
 from diqpv.errors import CertificationError, UselessFactorError
 from diqpv.estimation import ConditionalDistribution2, ml_fit_quantum, regularize
-from diqpv.polytopes import chsh_values, lr_vertices, ns3_polytope, pr_box, quantum_set
+from diqpv.polytopes import chsh_values, lr_vertices, ns3_polytope, quantum_set
 from diqpv.protocol import calibrate, plan_entanglement
 from diqpv.testfactor import (
     LOCAL_CHSH_TOL,
@@ -41,7 +41,14 @@ from golden import (
     REFERENCE_WBAR_MIN,
     factor_array,
 )
-from oracles import lambda_max_bisection, lr_distance, tsirelson_factor_oracle, tsirelson_point
+from helpers import pr_box
+from oracles import (
+    factor_value,
+    lambda_max_bisection,
+    lr_distance,
+    tsirelson_factor_oracle,
+    tsirelson_point,
+)
 
 
 def test_golden_factor_matches_reference(
@@ -78,11 +85,11 @@ def test_full_table_and_value_agree(golden_factor):
     full = golden_factor.full_table()
     assert full.shape == (2, 2, 2, 2, 2)
     for mqa, oqa, mqp, zqa, zqb in ((1, 1, 1, 1, 1), (2, 1, 2, 2, 2), (1, 2, 2, 1, 2)):
-        assert golden_factor.value(mqa, oqa, mqp, zqa, zqb) == full[
+        assert factor_value(golden_factor, mqa, oqa, mqp, zqa, zqb) == full[
             mqa - 1, oqa - 1, mqp - 1, zqa - 1, zqb - 1
         ]
-    assert golden_factor.value(1, 1, 1, 1, 2) == golden_factor.mismatch
-    assert golden_factor.value(1, 2, 1, 1, 1) == golden_factor.matched[0, 0, 1, 0]
+    assert factor_value(golden_factor, 1, 1, 1, 1, 2) == golden_factor.mismatch
+    assert factor_value(golden_factor, 1, 2, 1, 1, 1) == golden_factor.matched[0, 0, 1, 0]
 
 
 def test_unity_factor_caps_mismatch_at_one(nu_uniform):

@@ -3,15 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diqpv.errors import DegenerateDataError
+from diqpv.protocol import ProtocolParams, run_instance
 from diqpv.trialdata import (
-    CountsTable,
     FIELD_NAMES,
     JointSettingsDistribution,
-    TrialRecord,
     aggregate_counts,
     export_counts_csv,
-    match_frequencies,
     pack_records,
     read_counts_csv,
     read_trial_codes,
@@ -29,14 +26,6 @@ records_strategy = st.lists(
 )
 
 
-def test_record_validation():
-    TrialRecord(1, 2, 1, 2, 1)
-    with pytest.raises(ValueError):
-        TrialRecord(0, 1, 1, 1, 1)
-    with pytest.raises(ValueError):
-        TrialRecord(1, 1, 3, 1, 1)
-
-
 def test_packing_literals():
     assert pack_records([(1, 1, 1, 1, 1)])[0] == 0b00000
     assert pack_records([(2, 1, 2, 1, 2)])[0] == 0b10101
@@ -46,7 +35,7 @@ def test_packing_literals():
 
 def test_file_header_bytes(tmp_path):
     path = tmp_path / "t.qpvt"
-    write_trials(path, [(1, 1, 1, 1, 1), (2, 1, 2, 1, 2)])
+    write_trials(path, pack_records([(1, 1, 1, 1, 1), (2, 1, 2, 1, 2)]))
     raw = path.read_bytes()
     assert raw[:4] == b"QPVT"
     assert raw[4] == 1  # version
@@ -57,7 +46,7 @@ def test_file_header_bytes(tmp_path):
 
 def test_error_flag_round_trip(tmp_path):
     path = tmp_path / "e.qpvt"
-    write_trials(path, [(1, 1, 1, 1, 1)], detector_error=True)
+    write_trials(path, pack_records([(1, 1, 1, 1, 1)]), detector_error=True)
     _, err = read_trials(path)
     assert err is True
     assert read_trial_header(path) == (1, True)
@@ -67,7 +56,7 @@ def test_error_flag_round_trip(tmp_path):
 @settings(max_examples=50, deadline=None)
 def test_round_trip_property(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("rt") / "r.qpvt"
-    write_trials(path, records)
+    write_trials(path, pack_records(records))
     out, err = read_trials(path)
     assert err is False
     assert out.tolist() == [list(r) for r in records]
@@ -75,10 +64,10 @@ def test_round_trip_property(tmp_path_factory, records):
 
 def test_empty_file_round_trip(tmp_path):
     path = tmp_path / "empty.qpvt"
-    write_trials(path, [])
+    write_trials(path, pack_records([]))
     out, _ = read_trials(path)
     assert out.shape == (0, 5)
-    assert aggregate_counts(np.zeros((0, 5), dtype=np.uint8)).total == 0
+    assert aggregate_counts(pack_records(np.zeros((0, 5), dtype=np.uint8))).total == 0
 
 
 def test_large_round_trip(tmp_path):
@@ -114,30 +103,37 @@ def test_aggregate_matches_bincount_and_is_permutation_invariant():
 
 def test_counts_table_get_add_total():
     counts = reference_counts_table()
-    assert counts.get(1, 1, 1, 1, 1) == 18_764_031
-    assert counts.get(2, 2, 2, 2, 2) == 364
+    assert counts.table[0, 0, 0, 0, 0] == 18_764_031
+    assert counts.table[1, 1, 1, 1, 1] == 364
     assert counts.total == sum(sum(v) for v in REFERENCE_COUNTS.values())
     doubled = counts + counts
     assert doubled.total == 2 * counts.total
     matched = counts.matched()
     assert matched[0, 0, 0, 0] == 18_764_031
     assert matched[1, 0, 1, 0] == 9_481  # settings (2,1), outcome (2,1)
-    mism = counts.mismatched_total()
+    t = counts.table
+    mism = (t[:, :, :, 0, 1] + t[:, :, :, 1, 0]).sum(axis=1)  # zqa != zqb per (ma, mp)
     assert mism[0, 0] == 16 and mism[1, 1] == 35
 
 
-def test_match_frequencies_literal_and_row_sums():
-    counts = reference_counts_table()
-    f = match_frequencies(counts)
-    assert np.allclose(f.sum(axis=(2, 3)), 1.0, atol=1e-12)
-    assert f[0, 0, 0, 0] == pytest.approx(18_764_031 / 18_773_554, abs=1e-15)
+NOT_CODES = {
+    "above-31": np.array([256, 257, 0]),
+    "negative": np.array([-1]),
+    "tuples": [(1, 1, 1, 1, 1), (2, 1, 2, 1, 2)],
+    "record-array": np.ones((3, 5), dtype=np.uint8),
+}
 
 
-def test_match_frequencies_degenerate():
-    table = np.zeros((2, 2, 2, 2, 2), dtype=np.int64)
-    table[0, 0, 0, 0, 0] = 5  # only settings (1,1) observed
-    with pytest.raises(DegenerateDataError):
-        match_frequencies(CountsTable(table=table))
+@pytest.mark.parametrize("bad", NOT_CODES.values(), ids=NOT_CODES.keys())
+def test_code_consumers_reject_anything_but_codes(tmp_path, golden_factor, bad):
+    with pytest.raises(ValueError):
+        aggregate_counts(bad)
+    with pytest.raises(ValueError):
+        run_instance(bad, golden_factor, ProtocolParams(delta=0.01, epsilon=0.9, n=10))
+    path = tmp_path / "bad.qpvt"
+    with pytest.raises(ValueError):
+        write_trials(path, bad)
+    assert not path.exists()
 
 
 def test_counts_csv_round_trip(tmp_path):
@@ -172,4 +168,4 @@ def test_joint_settings_strictly_positive():
     with pytest.raises(ValueError):
         JointSettingsDistribution(table=np.array([[0.5, 0.5], [0.0, 0.0]]))
     nu = JointSettingsDistribution.uniform()
-    assert nu.get(2, 1) == 0.25
+    assert nu.table[1, 0] == 0.25
