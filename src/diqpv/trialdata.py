@@ -43,6 +43,10 @@ FIELD_NAMES = ("mqa", "oqa", "mqp", "zqa", "zqb")
 # Bit positions of (field - 1) inside a payload byte, record order, MSB first.
 _BITS = np.array([16, 8, 4, 2, 1], dtype=np.uint8)
 
+# Code pairs per np.bincount call in aggregate_counts; bincount's intp copy
+# of one chunk is 512 KB.
+_PAIRS_PER_CHUNK = 1 << 16
+
 
 def _checked_codes(codes, what: str = "packed code") -> np.ndarray:
     """codes as a 1-D uint8 array of packed records.
@@ -162,8 +166,23 @@ class CountsTable:
 
 
 def aggregate_counts(codes) -> CountsTable:
-    """Tally packed codes (see pack_records) into a CountsTable."""
-    flat = np.bincount(_checked_codes(codes), minlength=32).astype(np.int64)
+    """Tally packed codes (see pack_records) into a CountsTable.
+
+    Counts pairs of codes as uint16 in fixed chunks, so for contiguous
+    uint8 codes (a file's payload) the work memory stays under 1 MB
+    whatever the number of trials.
+    """
+    codes = np.ascontiguousarray(_checked_codes(codes))
+    pairs = codes[: codes.size // 2 * 2].view(np.uint16)
+    # Every code is <= 31, so every pair value is <= 31 * 257 = 7967 < 8192.
+    table = np.zeros(8192, dtype=np.int64)
+    for start in range(0, pairs.size, _PAIRS_PER_CHUNK):
+        table += np.bincount(pairs[start : start + _PAIRS_PER_CHUNK], minlength=8192)
+    # Pair value = high code * 256 + low code; the fold adds both, so byte order is moot.
+    t = table.reshape(32, 256)[:, :32]
+    flat = t.sum(axis=0) + t.sum(axis=1)
+    if codes.size % 2:
+        flat[codes[-1]] += 1
     return CountsTable(flat.reshape(2, 2, 2, 2, 2))
 
 

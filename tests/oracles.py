@@ -243,7 +243,9 @@ def p_succ(n: int, g: float, v: float, delta: float) -> float:
     """CLT success probability of an honest instance.
 
     g and v are the per-trial gain and variance of log2 w; the threshold
-    is log2(1/delta).  With n g equal to the threshold this is 1/2.
+    is log2(1/delta).  With n g equal to the threshold this is 1/2 for
+    v > 0; at v = 0 every trial scores exactly g and the tie passes, as
+    run_instance_from_counts tests total >= threshold.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -251,7 +253,7 @@ def p_succ(n: int, g: float, v: float, delta: float) -> float:
         raise ValueError("variance must be nonnegative")
     margin = n * g + math.log2(delta)
     if v == 0.0:
-        return 1.0 if margin > 0 else (0.5 if margin == 0 else 0.0)
+        return 1.0 if margin >= 0 else 0.0
     x = margin / math.sqrt(n * v)
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 

@@ -196,7 +196,7 @@ def test_p_succ_boundaries():
     assert p_succ(10, 1.0, 1.0, 2**-10) == pytest.approx(0.5, abs=1e-15)
     assert p_succ(10, 1.0, 0.0, 2**-5) == 1.0
     assert p_succ(10, 0.1, 0.0, 2**-5) == 0.0
-    assert p_succ(10, 0.5, 0.0, 2**-5) == 0.5
+    assert p_succ(10, 0.5, 0.0, 2**-5) == 1.0
     probs = [p_succ(n, 1.0, 4.0, 2**-10) for n in (10, 20, 40, 100)]
     assert probs == sorted(probs)
 
@@ -224,10 +224,8 @@ def test_required_trials_edge_cases():
 
 def test_required_trials_is_the_first_n_reaching_phi_of_z(golden_factor, golden_sigma3):
     # The target is Phi(z_for_epsilon(epsilon)), not epsilon: at the golden
-    # operating point p_succ is 0.97724988, just below 0.97725.  At v = 0 a
-    # tie n g = log2(1/delta) passes (see test_required_trials_edge_cases)
-    # where p_succ reads 1/2, so the v = 0 pair here never ties.
-    pairs = [gain_variance(golden_factor, golden_sigma3), (0.3, 0.0), (0.02, 5.0),
+    # operating point p_succ is 0.97724988, just below 0.97725.
+    pairs = [gain_variance(golden_factor, golden_sigma3), (0.3, 0.0), (0.5, 0.0), (0.02, 5.0),
              (1.0, 1.0), (1e-3, 0.1), (0.1, 4.0)]
     for g, v in pairs:
         for delta in (2**-64, 2**-20, 0.01, 0.5):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diqpv import trialdata
 from diqpv.protocol import ProtocolParams, run_instance
 from diqpv.trialdata import (
     FIELD_NAMES,
@@ -99,6 +102,48 @@ def test_aggregate_matches_bincount_and_is_permutation_invariant():
     shuffled = codes.copy()
     rng.shuffle(shuffled)
     assert np.array_equal(aggregate_counts(shuffled).table, counts.table)
+
+
+def _kernel_inputs():
+    chunk = trialdata._PAIRS_PER_CHUNK
+    rng = np.random.Generator(np.random.Philox(key=13))
+    codes = rng.integers(0, 32, size=3 * chunk + 5, endpoint=False).astype(np.uint8)
+    cases = {f"len-{k}": codes[:k] for k in (0, 1, 2, 3)}
+    cases.update({
+        "2chunk-1": codes[: 2 * chunk - 1],
+        "2chunk": codes[: 2 * chunk],
+        "2chunk+1": codes[: 2 * chunk + 1],
+        "3chunk+5": codes,
+        "all-31": np.full(2 * chunk + 7, 31, dtype=np.uint8),
+        "arange-32": np.arange(32),
+        "strided": codes[::3],
+        "odd-offset": codes[1:],
+        "read-only": np.frombuffer(codes.tobytes(), dtype=np.uint8),
+        "int64": codes.astype(np.int64),
+    })
+    return cases
+
+
+KERNEL_INPUTS = _kernel_inputs()
+
+
+@pytest.mark.parametrize("codes", KERNEL_INPUTS.values(), ids=KERNEL_INPUTS.keys())
+def test_aggregate_counts_equals_bincount(codes):
+    flat = aggregate_counts(codes).table.reshape(32)
+    assert np.array_equal(flat, np.bincount(codes, minlength=32))
+
+
+def test_aggregate_counts_memory_is_bounded():
+    codes = np.random.Generator(np.random.Philox(key=17)).integers(
+        0, 32, size=2**23 + 1, endpoint=False
+    ).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        aggregate_counts(codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_counts_table_get_add_total():
