@@ -8,8 +8,11 @@ detection, 2 = detection, for the verifier outcome and both reported
 prover outcomes, which makes the no-pair channel the dominant (1,1,1)
 cell as in recorded calibration tables.
 
-Sampling is counter-based (Philox) with inverse-CDF lookup per chunk, so
-a given key reproduces the identical byte stream on any platform.
+Sampling is counter-based (Philox): a trial's code counts the CDF entries
+c_i <= (w >> 11) 2^-53, the float Generator.random makes from the trial's
+raw 64-bit word w.  The test runs in integers, as w >> 11 >= ceil(c_i 2^53),
+mostly through a table on the top bits of w, so a given key reproduces the
+identical byte stream on any platform.
 """
 
 from __future__ import annotations
@@ -37,6 +40,13 @@ DEFAULT_ETA = 0.81
 DEFAULT_DARK_COUNT = 1e-7
 DEFAULT_PAIR_PROB = 1.0 / 350.0
 DEFAULT_MISMATCH = 2e-6
+
+# Raw Philox words per sample_trials chunk (512 KB of uint64).
+_DRAWS_PER_CHUNK = 1 << 16
+# Leading bits of a raw word that index the bucket table; a bucket split
+# by a CDF threshold holds the sentinel _SPLIT (codes are at most 31).
+_BUCKET_BITS = 12
+_SPLIT = 255
 
 
 @dataclass(frozen=True)
@@ -167,24 +177,37 @@ def _matched_to_full(sigma2: np.ndarray) -> ConditionalDistribution3:
 def sample_trials(sigma3: ConditionalDistribution3, nu, count: int, key: int) -> np.ndarray:
     """Draw count i.i.d. trials as packed uint8 codes.
 
-    Settings follow nu jointly with the behavior's outcomes; the stream
-    is generated by a Philox counter keyed with key, chunked inverse-CDF
-    lookups, and is byte-identical for a given key on any platform.
+    Settings follow nu jointly with the behavior's outcomes.  Each trial
+    takes one raw word w of a Philox counter keyed with key, and its code
+    is searchsorted(cdf, u, side="right") for the float u = (w >> 11) 2^-53
+    that Generator.random makes from w.  Scaling by 2^53 is exact, so
+    cdf_i <= u exactly when w >> 11 >= ceil(cdf_i 2^53), and the codes are
+    counted against these integer thresholds: a table on the top
+    _BUCKET_BITS bits of w gives the code of every bucket that no threshold
+    splits, and only draws in the (at most 31) split buckets are searched.
+    For a nondecreasing CDF (every cell probability >= 0) the stream is
+    byte-identical to that float lookup, for a given key on any platform.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     probs = cell_probabilities(sigma3, settings_weights(nu)).reshape(32)
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    rng = np.random.Generator(np.random.Philox(key=key))
+    thr = np.ceil(cdf * 2.0**53).astype(np.uint64)
+    # Bucket b holds the words whose top bits are b: w >> 11 runs over
+    # [b << width, (b + 1) << width).
+    width = 53 - _BUCKET_BITS
+    lo = np.arange(1 << _BUCKET_BITS, dtype=np.uint64)[:, None] << width
+    split = ((lo < thr) & (thr < lo + (1 << width))).any(axis=1)
+    table = np.where(split, _SPLIT, (thr <= lo).sum(axis=1)).astype(np.uint8)
+    bitgen = np.random.Philox(key=key)
     out = np.empty(count, dtype=np.uint8)
-    chunk = 1 << 20
-    pos = 0
-    while pos < count:
-        m = min(chunk, count - pos)
-        u = rng.random(m)
-        out[pos : pos + m] = np.searchsorted(cdf, u, side="right").astype(np.uint8)
-        pos += m
+    for pos in range(0, count, _DRAWS_PER_CHUNK):
+        raw = bitgen.random_raw(min(_DRAWS_PER_CHUNK, count - pos))
+        codes = out[pos : pos + raw.size]
+        np.take(table, raw >> (64 - _BUCKET_BITS), out=codes)
+        amb = np.flatnonzero(codes == _SPLIT)
+        codes[amb] = np.searchsorted(thr, raw[amb] >> 11, side="right")
     return out
 
 

@@ -84,7 +84,7 @@ def write_trials(path, records, detector_error: bool = False) -> None:
     flags = FLAG_DETECTOR_ERROR if detector_error else 0
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, flags, payload.size))
-        fh.write(payload.tobytes())
+        fh.write(np.ascontiguousarray(payload))
 
 
 def _read_header(fh, path) -> tuple[int, bool]:

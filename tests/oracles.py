@@ -6,9 +6,10 @@ vertex catalogs instead of H-representations, bisection over the primal
 certification LP instead of its dual, compensated summation by the
 textbook per-term recurrence, and dense axis scans and Monte Carlo
 sampling of the defining inequalities instead of closed-form region
-sizes, and a barrier solver that keeps stepping to its caps instead of
-stopping when a step leaves x unchanged.  Tests freeze these as the
-definition of correct.
+sizes, a barrier solver that keeps stepping to its caps instead of
+stopping when a step leaves x unchanged, and float draws looked up in the
+cell CDF instead of integer thresholds and a bucket table.  Tests freeze
+these as the definition of correct.
 """
 
 import math
@@ -256,6 +257,31 @@ def p_succ(n: int, g: float, v: float, delta: float) -> float:
         return 1.0 if margin >= 0 else 0.0
     x = margin / math.sqrt(n * v)
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+# Float inverse-CDF trial sampler: Generator.random draws looked up in the
+# cell CDF, the definition of sample_trials' byte stream
+
+
+def inverse_cdf_sample(sigma3, nu, count: int, key: int) -> np.ndarray:
+    from diqpv.estimation import cell_probabilities
+    from diqpv.trialdata import settings_weights
+
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    probs = cell_probabilities(sigma3, settings_weights(nu)).reshape(32)
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    rng = np.random.Generator(np.random.Philox(key=key))
+    out = np.empty(count, dtype=np.uint8)
+    chunk = 1 << 20
+    pos = 0
+    while pos < count:
+        m = min(chunk, count - pos)
+        u = rng.random(m)
+        out[pos : pos + m] = np.searchsorted(cdf, u, side="right").astype(np.uint8)
+        pos += m
+    return out
 
 
 # Compensated summation, textbook recurrence

@@ -9,6 +9,7 @@ expected exit codes and file layouts are reproducible.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -221,6 +222,34 @@ def test_simulate_deterministic_and_thread_invariant(tmp_path):
         assert (dirs["b"] / name).read_bytes() == ref
         assert (dirs["c"] / name).read_bytes() == ref
         assert (dirs["d"] / name).read_bytes() != ref
+
+
+# sha256 of the files of `simulate --files 2 --trials-per-file 100000
+# --error-files 1 --seed 5`, header included.  Computed with the float
+# inverse-CDF sampler before sample_trials moved to integer thresholds and
+# a bucket table; they pin the files a seeded run writes.
+_PINNED_FILES = {
+    "trials-0000.qpvt": "0cf16e2a1f1eb944cae034d19eeca799188358909bb4584adc5e2ec83f47a712",
+    "trials-0001.qpvt": "a4019376c7f4abe6fac346424e14ee1ba363c4b56c621cff4f4c8a2f96e39302",
+}
+
+
+def test_simulate_files_match_pinned_digests(tmp_path):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--files", "2", "--trials-per-file", "100000",
+                 "--error-files", "1", "--seed", "5"]) == 0
+    for name, digest in _PINNED_FILES.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_simulate_rejects_threads_below_one(tmp_path, capsys, threads):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--files", "2", "--trials-per-file", "100",
+                 "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --threads must be at least 1, got {threads}\n"
+    assert not out.exists()
 
 
 def test_simulate_lr_shortcut_matches_config(tmp_path):

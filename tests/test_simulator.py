@@ -1,10 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from diqpv.estimation import cell_probabilities
+from diqpv import simulator
+from diqpv.estimation import ConditionalDistribution3, cell_probabilities
 from diqpv.polytopes import lr_vertices
 from diqpv.simulator import (
     DEFAULT_AMP_A,
@@ -18,10 +22,10 @@ from diqpv.simulator import (
     stream_key,
 )
 from diqpv.testfactor import certify
-from diqpv.trialdata import aggregate_counts
+from diqpv.trialdata import JointSettingsDistribution, aggregate_counts
 
 from helpers import mismatch_mass, pr_box, uniform_ns3
-from oracles import born_matched_oracle, lr_distance
+from oracles import born_matched_oracle, inverse_cdf_sample, lr_distance
 
 
 def test_default_model_validates():
@@ -167,6 +171,113 @@ def test_sampler_reproducible(nu_uniform):
     assert np.array_equal(a, b)
     c = sample_trials(sigma3, nu_uniform, 200_000, key=stream_key(9, 5))
     assert not np.array_equal(a, c)
+
+
+# Pinned case: (j of its key stream_key(18, j), behavior, nu or None for uniform).
+_PINNED_CASES = {
+    "honest": (0, "honest", None),
+    "lr5": (1, "lr5", None),
+    "point-mass": (2, "honest", [[1.0, 0.0], [0.0, 0.0]]),
+    "zero-diagonal": (3, "lr5", [[0.0, 0.5], [0.5, 0.0]]),
+}
+
+# sha256 of sample_trials(...).tobytes() per (case, count).  Computed with
+# the float inverse-CDF sampler (Generator.random draws looked up with
+# searchsorted, now oracles.inverse_cdf_sample) before sample_trials moved
+# to integer thresholds and a bucket table; they pin the seeded byte
+# stream across rewrites of the sampler.
+_PINNED_DIGESTS = {
+    ("honest", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("honest", 1): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    ("honest", 65537): "24ec05825764f209989f32000a9679667ff3b6f1dbebcc22206263db9fd033d0",
+    ("honest", 300001): "778eb82a4e61792e1fbf99ea59e8f78ec743a46f9cd407762439b3678f781517",
+    ("lr5", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("lr5", 1): "452ba1ddef80246c48be7690193c76c1d61185906be9401014fe14f1be64b74f",
+    ("lr5", 65537): "59188aeb62a8f2c8a83846214f6a0e2243201ea40d3085b0d9128fd3fbbd1626",
+    ("lr5", 300001): "50641a249f7cc0612679c087172dc63d1a7f6ebba9b408a98e727f85371ce6fc",
+    ("point-mass", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("point-mass", 1): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    ("point-mass", 65537): "a5592df77fd93a2fe0ab4b979467e3d03f1ee5da718686c7afcc717080194a48",
+    ("point-mass", 300001): "3d8631f9b2747f4f84b043cf901260e2c47348f5467571c4bef4ffd657868ae8",
+    ("zero-diagonal", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("zero-diagonal", 1): "452ba1ddef80246c48be7690193c76c1d61185906be9401014fe14f1be64b74f",
+    ("zero-diagonal", 65537): "d5cff518e312a5c852d1f15e50f8779c3965d340d7d4dbbac232239bf581d998",
+    ("zero-diagonal", 300001): "4ce01b15eb3c034191438d3f702dbbb9096cd345b5ecd883ec0020804172cdc0",
+}
+
+
+@pytest.mark.parametrize("case, count", sorted(_PINNED_DIGESTS), ids=lambda v: str(v))
+def test_sampler_pinned_digests(case, count):
+    j, behavior, nu = _PINNED_CASES[case]
+    sigma3 = (honest_distribution(HonestProverModel()) if behavior == "honest"
+              else AdversaryModel.lr_vertex(5).behavior)
+    if nu is None:
+        nu = JointSettingsDistribution.uniform()
+    codes = sample_trials(sigma3, nu, count, stream_key(18, j))
+    assert codes.shape == (count,)
+    assert hashlib.sha256(codes.tobytes()).hexdigest() == _PINNED_DIGESTS[case, count]
+
+
+_HONEST = honest_distribution(HonestProverModel())
+# Settings weights with zero entries (never all four).
+_NU_WITH_ZEROS = st.lists(st.integers(0, 3), min_size=4, max_size=4).filter(any)
+# Counts on both sides of one and two 2^16-draw chunks, and in between.
+_COUNTS = st.sampled_from([0, 1, 65535, 65536, 65537, 131073]) | st.integers(0, 200_000)
+
+
+@given(mixture_seed=st.none() | st.integers(0, 2**32 - 1), nu_ints=_NU_WITH_ZEROS,
+       count=_COUNTS, key=st.integers(0, 2**128 - 1))
+# The honest model's 1.25e-7 cells put several CDF thresholds in one bucket.
+@example(mixture_seed=None, nu_ints=[1, 1, 1, 1], count=65537, key=stream_key(12345, 0))
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_sampler_matches_float_inverse_cdf_oracle(mixture_seed, nu_ints, count, key):
+    if mixture_seed is None:
+        sigma3 = _HONEST
+    else:
+        rng = np.random.default_rng(mixture_seed)
+        weights = rng.dirichlet(np.full(16, 0.5))
+        weights[rng.random(16) < 0.3] = 0.0  # zero-weight vertices
+        if not weights.any():
+            weights[0] = 1.0
+        sigma3 = AdversaryModel.lr_mixture(weights / weights.sum()).behavior
+    nu = np.asarray(nu_ints, dtype=np.float64).reshape(2, 2) / sum(nu_ints)
+    assert np.array_equal(sample_trials(sigma3, nu, count, key),
+                          inverse_cdf_sample(sigma3, nu, count, key))
+
+
+@pytest.mark.parametrize("boundary, counted", [
+    ("at-draw", True),
+    ("half-above-draw", False),
+    ("one-above-draw", False),
+    ("bucket-start", True),
+    ("bucket-start-plus-one", True),
+])
+def test_sampler_threshold_on_a_draw(boundary, counted):
+    # One CDF step placed on or beside draw j's integer k = w >> 11; a step
+    # at c counts for the draw exactly when c <= k 2^-53.
+    key, count = stream_key(18, 99), 8
+    k = np.random.Philox(key=key).random_raw(count) >> 11
+    j = int(np.argmax(k < 2**52))  # (k + 0.5) 2^-53 is exact below 2^52
+    kj = int(k[j])
+    assert kj < 2**52
+    width = 53 - simulator._BUCKET_BITS
+    step = {
+        "at-draw": kj,
+        "half-above-draw": kj + 0.5,
+        "one-above-draw": kj + 1,
+        "bucket-start": kj >> width << width,
+        "bucket-start-plus-one": (kj >> width << width) + 1,
+    }[boundary] / 2**53
+    table = np.zeros((2, 2, 2, 2, 2))
+    table[:, :, 0, 0, 0] = 1.0
+    table[0, 0, 0, 0, 0] = step
+    table[0, 0, 1, 1, 1] = 1.0 - step
+    sigma3 = ConditionalDistribution3(table)
+    nu = [[1.0, 0.0], [0.0, 0.0]]
+    codes = sample_trials(sigma3, nu, count, key)
+    # Cells 1..10 carry no mass, so a counted step puts the draw past them.
+    assert codes[j] == (11 if counted else 0)
+    assert np.array_equal(codes, inverse_cdf_sample(sigma3, nu, count, key))
 
 
 def test_stream_key_layout():

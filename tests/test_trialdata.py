@@ -83,6 +83,15 @@ def test_large_round_trip(tmp_path):
     assert read_trial_codes(path, limit=1000)[0].tolist() == codes[:1000].tolist()
 
 
+def test_write_trials_from_strided_and_wide_codes(tmp_path):
+    codes = np.arange(96, dtype=np.uint8) % 32
+    for i, payload in enumerate((codes[::3], codes[::3].astype(np.int64))):
+        path = tmp_path / f"s{i}.qpvt"
+        write_trials(path, payload)
+        assert path.read_bytes()[14:] == codes[::3].tobytes()
+        assert np.array_equal(read_trial_codes(path)[0], codes[::3])
+
+
 def test_truncated_and_bad_magic(tmp_path):
     path = tmp_path / "bad.qpvt"
     path.write_bytes(b"QPVT")
