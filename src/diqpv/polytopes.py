@@ -10,23 +10,25 @@ The polytopes are kept in H-form (equalities, inequalities, box bounds) and
 queried through linear programming; no vertex catalogs are enumerated at
 runtime.  A certificate is a vector of row duals, which _dual_bound turns
 into an exact weak-duality upper bound on the maximum of an objective
-(floats or exact Fractions), so a float solver error can loosen a bound
-but never make it too small.  Each solve is one dual simplex run that
-returns its duals as such a certificate: max_linear for a maximum,
-max_shift_within for the largest admissible shift of an objective.
+(floats, or exact integers over a common denominator), so a float solver
+error can loosen a bound but never make it too small.  Each solve is one
+dual simplex run that returns its duals as such a certificate: max_linear
+for a maximum, max_shift_within for the largest admissible shift of an
+objective.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import LpStructureError
+from .errors import CertificationError, LpStructureError
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -60,6 +62,21 @@ class HPolytope:
         if self.a_ub.size and (self.a_ub @ x - self.b_ub).max() > tol:
             return False
         return True
+
+    @cached_property
+    def exact_rows(self) -> tuple[list[int], list[int], list[int], list[int], int]:
+        """The rows (equalities, then inequalities) as exact integers.
+
+        Returns (columns, rows, entries, rhs, den): the nonzero entries of
+        A in column order with their positions, and b, all as integer
+        numerators over one common denominator den.
+        """
+        cols = np.vstack([self.a_eq, self.a_ub]).T
+        col, row = np.nonzero(cols)
+        values, den = _common_denominator(
+            np.concatenate([cols[col, row], self.b_eq, self.b_ub]).tolist()
+        )
+        return col.tolist(), row.tolist(), values[: col.size], values[col.size :], den
 
 
 def correlator_rows() -> np.ndarray:
@@ -179,50 +196,90 @@ _TIGHT = {
 }
 
 
-def max_linear(c, poly: HPolytope) -> tuple[float, np.ndarray, np.ndarray]:
-    """Maximize c . x over poly; returns (bound, maximizer, duals).
+def max_linear(c, poly: HPolytope, den: int = 1) -> tuple[float, np.ndarray, np.ndarray]:
+    """Maximize (c / den) . x over poly; returns (bound, maximizer, duals).
 
-    One dual simplex solve.  bound is _dual_bound at its row duals: a
-    proven upper bound on the maximum, above the simplex optimum by at most
-    the duals' float error.  Infeasible or unbounded programs raise
-    LpStructureError.
+    One dual simplex solve on the objective rounded to floats.  bound is
+    _dual_bound at its row duals: a proven upper bound on the maximum,
+    above the simplex optimum by at most the duals' float error.
+    Infeasible or unbounded programs raise LpStructureError.
     """
-    c_float = np.asarray(c, dtype=np.float64).reshape(-1)
-    if c_float.shape != (poly.dim,):
-        raise ValueError(f"objective has {c_float.size} entries, polytope has {poly.dim}")
+    values = _exact_values(c)
+    if len(values) != poly.dim:
+        raise ValueError(f"objective has {len(values)} entries, polytope has {poly.dim}")
     res = linprog(
-        -c_float, A_ub=poly.a_ub, b_ub=poly.b_ub, A_eq=poly.a_eq, b_eq=poly.b_eq,
+        -np.array([v / den for v in values], dtype=np.float64),
+        A_ub=poly.a_ub, b_ub=poly.b_ub, A_eq=poly.a_eq, b_eq=poly.b_eq,
         bounds=(0.0, 1.0), method="highs-ds", options=_TIGHT,
     )
     if res.status != 0:
         raise LpStructureError(f"{poly.name}: LP status {res.status} ({res.message})")
     # linprog minimizes -c . x, so its marginals are the negated duals.
     duals = -np.concatenate([res.eqlin.marginals, res.ineqlin.marginals])
-    return _dual_bound(c, poly, duals), res.x, duals
+    return _dual_bound(values, poly, duals, den), res.x, duals
 
 
-def _dual_bound(c, poly: HPolytope, duals) -> float:
-    """Exact weak-duality bound on max c . x over poly from any row duals.
+def _exact_values(c) -> list:
+    """c flattened to a list of its values as they are.  The object dtype
+    keeps Python ints exact: numpy would read a list of ints at or past
+    2^63 as float64."""
+    return np.asarray(c, dtype=object).reshape(-1).tolist()
 
-    duals holds y (equality rows) then z (inequality rows).  With z clipped
-    to z >= 0 and the box duals repaired to u = max(0, c - A_eq^T y -
+
+def _common_denominator(values) -> tuple[list[int], int]:
+    """Exact values (floats, ints or Fractions) as integer numerators over
+    their least common denominator; OverflowError or ValueError on a value
+    that is not finite."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
+
+
+def _dual_bound(c, poly: HPolytope, duals, den: int = 1) -> float:
+    """Exact weak-duality bound on max (c / den) . x over poly from any row duals.
+
+    c holds floats, ints or Fractions and den is a positive integer; duals
+    holds y (equality rows) then z (inequality rows).  With z clipped to
+    z >= 0 and the box duals repaired to u = max(0, c / den - A_eq^T y -
     A_ub^T z), (y, z, u) is dual feasible, so b_eq . y + b_ub . z + sum u
-    >= c . x on poly (Neumaier & Shcherbina, Math. Prog. 99, 2004).  The
-    sum is formed exactly in fractions.Fraction and rounded up.
+    >= (c / den) . x on poly (Neumaier & Shcherbina, Math. Prog. 99, 2004).
+    Every value (c, duals, and the nonzero entries of A and b) is brought
+    to integers over one common denominator, each column's repair term is
+    summed over its nonzero rows in Python ints, and the exact total is
+    rounded up to a float once (to inf past the float range).  ValueError
+    on a wrong dual or column count; CertificationError when a dual or
+    entry of c is not finite.
     """
     duals = np.array(duals, dtype=np.float64)
-    if duals.shape != (poly.b_eq.size + poly.b_ub.size,):
+    n_eq = poly.b_eq.size
+    if duals.shape != (n_eq + poly.b_ub.size,):
         raise ValueError("need one dual per equality row and per inequality row")
-    duals[poly.b_eq.size:] = np.maximum(duals[poly.b_eq.size:], 0.0)
-    duals = [Fraction(v) for v in duals.tolist()]
-    rhs = np.concatenate([poly.b_eq, poly.b_ub]).tolist()
-    total = sum((Fraction(b) * d for b, d in zip(rhs, duals) if b), Fraction(0))
-    cols = np.vstack([poly.a_eq, poly.a_ub]).T.tolist()
-    for cj, col in zip(np.asarray(c).reshape(-1).tolist(), cols, strict=True):
-        u = Fraction(cj) - sum((Fraction(a) * d for a, d in zip(col, duals) if a), Fraction(0))
-        total += max(u, 0)
-    bound = float(total)
-    return bound if Fraction(bound) >= total else math.nextafter(bound, math.inf)
+    values = _exact_values(c)
+    if len(values) != poly.dim:
+        raise ValueError(f"objective has {len(values)} entries, polytope has {poly.dim}")
+    if not np.isfinite(duals).all():
+        raise CertificationError("certificate duals must be finite")
+    try:
+        c_num, c_den = _common_denominator(values)
+    except (OverflowError, ValueError):
+        raise CertificationError("objective entries must be finite") from None
+    duals[n_eq:] = np.maximum(duals[n_eq:], 0.0)
+    y, y_den = _common_denominator(duals.tolist())
+    col, row, a, b, a_den = poly.exact_rows
+    # Over den_all, c / den scales by k_c and every A or b times y by k_y.
+    den_all = math.lcm(c_den * den, a_den * y_den)
+    k_c, k_y = den_all // (c_den * den), den_all // (a_den * y_den)
+    shift = [0] * poly.dim
+    for j, i, aij in zip(col, row, a):
+        shift[j] += aij * y[i]
+    total = k_y * sum(bi * yi for bi, yi in zip(b, y) if bi)
+    total += sum(max(0, k_c * cj - k_y * sj) for cj, sj in zip(c_num, shift))
+    try:
+        bound = total / den_all  # int true division rounds to nearest
+    except OverflowError:  # past the float range: round up to inf or -max
+        return math.inf if total > 0 else -sys.float_info.max
+    p, q = bound.as_integer_ratio()
+    return bound if p * den_all >= total * q else math.nextafter(bound, math.inf)
 
 
 def max_shift_within(c0, c1, poly: HPolytope, bound: float, t_max: float):

@@ -388,19 +388,20 @@ class FileTrialSource:
         self._read_codes = read_trial_codes
         self.trials, self.error = read_trial_header(path)
         self.label = os.path.basename(os.fspath(path))
+        self._what = f"{path}: payload byte"
         self._counts: CountsTable | None = None
 
     def counts(self) -> CountsTable:
         if self._counts is None:
             codes, _ = self._read_codes(self._path)
-            self._counts = aggregate_counts(codes)
+            self._counts = aggregate_counts(codes, self._what)
         return self._counts
 
     def prefix_counts(self, k: int) -> CountsTable:
         if k >= self.trials:
             return self.counts()
         codes, _ = self._read_codes(self._path, limit=k)
-        return aggregate_counts(codes)
+        return aggregate_counts(codes, self._what)
 
 
 @dataclass(frozen=True)

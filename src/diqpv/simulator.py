@@ -185,13 +185,16 @@ def sample_trials(sigma3: ConditionalDistribution3, nu, count: int, key: int) ->
     counted against these integer thresholds: a table on the top
     _BUCKET_BITS bits of w gives the code of every bucket that no threshold
     splits, and only draws in the (at most 31) split buckets are searched.
-    For a nondecreasing CDF (every cell probability >= 0) the stream is
-    byte-identical to that float lookup, for a given key on any platform.
+    The CDF is made nondecreasing (np.maximum.accumulate), so a cell with
+    a tiny negative probability is never drawn and each code depends on
+    its own word only; where every cell probability is >= 0 this changes
+    nothing, and the stream is byte-identical to that float lookup, for a
+    given key on any platform.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     probs = cell_probabilities(sigma3, settings_weights(nu)).reshape(32)
-    cdf = np.cumsum(probs)
+    cdf = np.maximum.accumulate(np.cumsum(probs))
     cdf[-1] = 1.0
     thr = np.ceil(cdf * 2.0**53).astype(np.uint64)
     # Bucket b holds the words whose top bits are b: w >> 11 runs over

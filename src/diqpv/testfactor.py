@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -38,6 +37,7 @@ from .estimation import (
     cell_probabilities,
 )
 from .polytopes import (
+    _common_denominator,
     _dual_bound,
     chsh_values,
     lr_vertices,
@@ -86,7 +86,8 @@ class TestFactor:
     distribution the certification was run against.  Construction only
     checks (certified_factor finds a certificate): CertificationError
     unless the NS3 row duals y and scale s give _dual_bound(s c, y) <= s
-    for the exact objective c; cert_margin = 1 - bound / s >= 0.
+    for the exact objective c, with every value finite; cert_margin =
+    1 - bound / s >= 0.
     """
 
     matched: np.ndarray
@@ -100,9 +101,12 @@ class TestFactor:
     def __post_init__(self):
         m = np.asarray(self.matched, dtype=np.float64)
         nu = settings_weights(self.nu)
-        c = Fraction(self.scale) * _expected_factor_objective(m, self.mismatch, nu)
-        bound = _dual_bound(c, _NS3, self.duals)
-        if not (self.scale > 0 and bound <= self.scale):
+        num, den = _expected_factor_objective(m, self.mismatch, nu)
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise CertificationError(f"certificate scale {self.scale!r} is not a positive number")
+        p, q = float(self.scale).as_integer_ratio()
+        bound = _dual_bound([p * v for v in num], _NS3, self.duals, den * q)
+        if bound > self.scale:
             raise CertificationError(f"certified bound {bound!r} / scale {self.scale!r} exceeds 1")
         object.__setattr__(self, "matched", m)
         object.__setattr__(self, "nu", nu)
@@ -126,29 +130,45 @@ def certify(matched, mismatch: float, nu):
     Returns (bound, maximizing behavior, duals): one LP (max_linear), whose
     bound is exact at its duals, at or just above the LP maximum.
     """
-    c = _expected_factor_objective(matched, mismatch, settings_weights(nu))
-    bound, mu, duals = max_linear(c, _NS3)
+    num, den = _expected_factor_objective(matched, mismatch, settings_weights(nu))
+    bound, mu, duals = max_linear(num, _NS3, den)
     return bound, mu.reshape(2, 2, 2, 2, 2, 2), duals
 
 
-def _expected_factor_objective(matched, mismatch: float, nu) -> np.ndarray:
+def _expected_factor_objective(matched, mismatch: float, nu) -> tuple[list[int], int]:
     """Expected factor as an exact linear objective over the 64 NS3 variables.
 
-    Entries are exact Fraction products nu * w (solvers see their float
-    rounding).  Only the slices where the two challenge bits agree carry
-    weight; the objective is linear in (matched, mismatch).  ValueError
-    unless matched has shape (2, 2, 2, 2) and no value is negative.
+    Returns integer numerators and their one common denominator.  The
+    entries are the exact products nu * w / sum(nu), so weights whose float
+    sum is not exactly 1 are normalized exactly (solvers see the entries'
+    float rounding).  Only the slices where the two challenge bits agree
+    carry weight; the objective is linear in (matched, mismatch).
+    ValueError unless matched has shape (2, 2, 2, 2) and no value is
+    negative; CertificationError if a value is not finite.
     """
     matched = np.asarray(matched, dtype=np.float64)
     if matched.shape != (2, 2, 2, 2):
         raise ValueError("matched table must have shape (2, 2, 2, 2)")
+    if not (np.isfinite(matched).all() and math.isfinite(mismatch)):
+        raise CertificationError("factor values must be finite")
     if (matched < 0).any() or mismatch < 0:
         raise ValueError("factor values must be nonnegative")
-    c = np.full((2, 2, 2, 2, 2, 2), Fraction(0), dtype=object)
+    # Over their common power of two the weights are integers n, and
+    # nu / sum(nu) = n / sum(n) exactly.
+    weights, _ = _common_denominator(np.asarray(nu, dtype=np.float64).reshape(4).tolist())
+    w, w_den = _common_denominator(matched.reshape(16).tolist() + [float(mismatch)])
+    num = [0] * 64
     for ma, b, oa, za, zb in product(range(2), repeat=5):
-        w = matched[ma, b, oa, za] if za == zb else mismatch
-        c[ma, b, b, oa, za, zb] = Fraction(nu[ma, b]) * Fraction(w)
-    return c.reshape(64)
+        cell = 8 * ma + 4 * b + 2 * oa + za if za == zb else 16
+        # The flat index of mu[ma, b, b, oa, za, zb].
+        num[32 * ma + 24 * b + 4 * oa + 2 * za + zb] = weights[2 * ma + b] * w[cell]
+    return num, sum(weights) * w_den
+
+
+def _float_objective(matched, mismatch: float, nu) -> np.ndarray:
+    """The exact objective rounded entrywise to floats, as solvers see it."""
+    num, den = _expected_factor_objective(matched, mismatch, nu)
+    return np.array([v / den for v in num])
 
 
 def certified_factor(matched, mismatch: float, nu, duals=None, meta=None) -> TestFactor:
@@ -160,7 +180,8 @@ def certified_factor(matched, mismatch: float, nu, duals=None, meta=None) -> Tes
     nu = settings_weights(nu)
     if duals is None:
         duals = certify(matched, mismatch, nu)[2]
-    bound = _dual_bound(_expected_factor_objective(matched, mismatch, nu), _NS3, duals)
+    num, den = _expected_factor_objective(matched, mismatch, nu)
+    bound = _dual_bound(num, _NS3, duals, den)
     if bound > 1.0 + ROUNDING_EXCESS:
         raise CertificationError(f"certified bound {bound!r} exceeds 1")
     if bound > 1.0:
@@ -250,8 +271,8 @@ def lambda_max_table(table: np.ndarray, nu) -> tuple[float, np.ndarray]:
     certifiable.
     """
     nu = settings_weights(nu)
-    c0 = _expected_factor_objective(table, 0.0, nu)
-    c1 = _expected_factor_objective(np.zeros((2, 2, 2, 2)), 1.0, nu)
+    c0 = _float_objective(table, 0.0, nu)
+    c1 = _float_objective(np.zeros((2, 2, 2, 2)), 1.0, nu)
     found = max_shift_within(c0, c1, _NS3, bound=1.0, t_max=10.0)
     if found is None:
         raise CertificationError(
@@ -324,7 +345,7 @@ def mix_with_unity(tf: TestFactor, lam_mix: float) -> TestFactor:
     matched = np.clip(lam_mix * tf.matched + (1.0 - lam_mix), 0.0, None)
     mismatch = max(lam_mix * tf.mismatch + (1.0 - lam_mix), 0.0)
     # y1 gives each normalization row its block's unity objective (nu or 0).
-    c1 = _expected_factor_objective(np.ones((2, 2, 2, 2)), 1.0, tf.nu).astype(np.float64)
+    c1 = _float_objective(np.ones((2, 2, 2, 2)), 1.0, tf.nu)
     unity = np.where(_NS3.b_eq == 1.0, (_NS3.a_eq * c1).max(axis=1), 0.0)
     duals = lam_mix * tf.duals / tf.scale + (1.0 - lam_mix) * unity
     return certified_factor(matched, float(mismatch), tf.nu, duals, tf.meta)

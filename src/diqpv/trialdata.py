@@ -73,9 +73,10 @@ def pack_records(records) -> np.ndarray:
     return ((arr - 1) * _BITS).sum(axis=1).astype(np.uint8)
 
 
-def unpack_codes(codes) -> np.ndarray:
-    """Inverse of pack_records; returns an (n, 5) uint8 array."""
-    return _checked_codes(codes)[:, None] // _BITS % 2 + 1
+def unpack_codes(codes, what: str = "packed code") -> np.ndarray:
+    """Inverse of pack_records; returns an (n, 5) uint8 array.  A code out
+    of range raises ValueError naming what."""
+    return _checked_codes(codes, what)[:, None] // _BITS % 2 + 1
 
 
 def write_trials(path, records, detector_error: bool = False) -> None:
@@ -103,20 +104,22 @@ def _read_header(fh, path) -> tuple[int, bool]:
 def read_trials(path) -> tuple[np.ndarray, bool]:
     """Read a trial file; returns (records (n, 5) uint8, detector_error)."""
     codes, error = read_trial_codes(path)
-    return unpack_codes(codes), error
+    return unpack_codes(codes, f"{path}: payload byte"), error
 
 
 def read_trial_codes(path, limit: int | None = None) -> tuple[np.ndarray, bool]:
-    """Like read_trials but returns packed uint8 codes (cheaper for bulk
-    aggregation; code layout matches CountsTable.flat order).  limit reads
-    only the first trials, which stays cheap for prefix truncation."""
+    """Like read_trials but returns the payload as uint8 codes (cheaper for
+    bulk aggregation; code layout matches CountsTable.flat order).  limit
+    reads only the first trials, which stays cheap for prefix truncation.
+    The bytes are not range-checked here: aggregate_counts checks them as
+    it counts, in the same pass."""
     with open(path, "rb") as fh:
         count, error = _read_header(fh, path)
         want = count if limit is None else min(int(limit), count)
         payload = np.frombuffer(fh.read(want), dtype=np.uint8)
     if payload.size != want:
         raise ValueError(f"{path}: expected {want} trials, found {payload.size}")
-    return _checked_codes(payload, f"{path}: payload byte"), error
+    return payload, error
 
 
 def read_trial_header(path) -> tuple[int, bool]:
@@ -165,21 +168,33 @@ class CountsTable:
         return out
 
 
-def aggregate_counts(codes) -> CountsTable:
+def aggregate_counts(codes, what: str = "packed code") -> CountsTable:
     """Tally packed codes (see pack_records) into a CountsTable.
 
     Counts pairs of codes as uint16 in fixed chunks, so for contiguous
     uint8 codes (a file's payload) the work memory stays under 1 MB
-    whatever the number of trials.
+    whatever the number of trials.  ValueError, naming what, unless every
+    code lies in 0..31; uint8 codes are checked off the pair counts.
     """
-    codes = np.ascontiguousarray(_checked_codes(codes))
+    codes = np.asarray(codes)
+    if codes.dtype != np.uint8 or codes.ndim != 1:
+        codes = _checked_codes(codes, what)
+    codes = np.ascontiguousarray(codes)
     pairs = codes[: codes.size // 2 * 2].view(np.uint16)
-    # Every code is <= 31, so every pair value is <= 31 * 257 = 7967 < 8192.
+    # Pair value = high code * 256 + low code, so with every code <= 31
+    # every pair value is <= 31 * 257 = 7967 < 8192.  A higher byte lands
+    # past bin 8191 (high) or in a column >= 32 of the fold below (low).
     table = np.zeros(8192, dtype=np.int64)
     for start in range(0, pairs.size, _PAIRS_PER_CHUNK):
-        table += np.bincount(pairs[start : start + _PAIRS_PER_CHUNK], minlength=8192)
-    # Pair value = high code * 256 + low code; the fold adds both, so byte order is moot.
-    t = table.reshape(32, 256)[:, :32]
+        counts = np.bincount(pairs[start : start + _PAIRS_PER_CHUNK], minlength=8192)
+        if counts.size > 8192:
+            raise ValueError(f"{what} out of range 0..31")
+        table += counts
+    t = table.reshape(32, 256)
+    if t[:, 32:].any() or (codes.size % 2 and codes[-1] > 31):
+        raise ValueError(f"{what} out of range 0..31")
+    # The fold adds both codes of each pair, so byte order is moot.
+    t = t[:, :32]
     flat = t.sum(axis=0) + t.sum(axis=1)
     if codes.size % 2:
         flat[codes[-1]] += 1
@@ -198,7 +213,7 @@ class JointSettingsDistribution:
             raise ValueError("settings distribution must have shape (2, 2)")
         if (t <= 0).any():
             raise ValueError("settings probabilities must be strictly positive")
-        if abs(t.sum() - 1.0) > 1e-12:
+        if not abs(t.sum() - 1.0) <= 1e-12:
             raise ValueError("settings probabilities must sum to 1")
         object.__setattr__(self, "table", t)
 
@@ -219,7 +234,7 @@ def settings_weights(nu) -> np.ndarray:
     t = np.asarray(nu, dtype=np.float64)
     if t.shape != (2, 2):
         raise ValueError("settings weights must have shape (2, 2)")
-    if (t < 0).any() or abs(t.sum() - 1.0) > 1e-12:
+    if (t < 0).any() or not abs(t.sum() - 1.0) <= 1e-12:
         raise ValueError("settings weights must be nonnegative and sum to 1")
     return t
 

@@ -60,6 +60,35 @@ def uniform_ns3() -> np.ndarray:
     return np.full((2, 2, 2, 2, 2, 2), 1.0 / 8.0)
 
 
+def ns3_probe_points() -> np.ndarray:
+    """129 points of the three-party no-signaling polytope, shape (129, 64).
+
+    The 64 deterministic strategies (oa = f(ma), za = g(b), zb = h(bp)),
+    the uniform point, and 64 PR boxes between the verifier and one
+    station (the box variants of pr_box over inputs (ma, that station's
+    bit)) with the other station deterministic.  Every entry is 0, 1/8,
+    1/2 or 1, so 8 times a point is an exact integer vector.
+    """
+    funcs = list(product(range(2), repeat=2))  # (f(0), f(1))
+    points = []
+    for f, g, h in product(funcs, repeat=3):
+        mu = np.zeros((2, 2, 2, 2, 2, 2))
+        for ma, b, bp in product(range(2), repeat=3):
+            mu[ma, b, bp, f[ma], g[b], h[bp]] = 1.0
+        points.append(mu)
+    points.append(uniform_ns3())
+    for station, variant, h in product(range(2), product(range(2), repeat=3), funcs):
+        box = pr_box(*variant)
+        mu = np.zeros((2, 2, 2, 2, 2, 2))
+        for ma, b, bp, oa, z in product(range(2), repeat=5):
+            if station == 0:
+                mu[ma, b, bp, oa, z, h[bp]] = box[ma, b, oa, z]
+            else:
+                mu[ma, b, bp, oa, h[b], z] = box[ma, bp, oa, z]
+        points.append(mu)
+    return np.array(points).reshape(-1, 64)
+
+
 def prover_swap(mu) -> np.ndarray:
     """Exchange the two adversary stations of mu[ma, b, bp, oa, za, zb]."""
     m = np.asarray(mu, dtype=np.float64).reshape(2, 2, 2, 2, 2, 2)

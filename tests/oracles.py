@@ -8,11 +8,13 @@ textbook per-term recurrence, and dense axis scans and Monte Carlo
 sampling of the defining inequalities instead of closed-form region
 sizes, a barrier solver that keeps stepping to its caps instead of
 stopping when a step leaves x unchanged, and float draws looked up in the
-cell CDF instead of integer thresholds and a bucket table.  Tests freeze
-these as the definition of correct.
+cell CDF instead of integer thresholds and a bucket table, and the weak-duality
+bound summed in fractions.Fraction instead of integers over one common
+denominator.  Tests freeze these as the definition of correct.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -225,6 +227,33 @@ def lambda_max_bisection(table, nu, tol=1e-9):
         else:
             lo = mid
     return min(lo, 1.0)
+
+
+# Weak-duality bound from row duals, summed in fractions.Fraction
+
+
+def dual_bound_fraction(c, poly, duals) -> float:
+    """Exact weak-duality bound on max c . x over poly from any row duals.
+
+    duals holds y (equality rows) then z (inequality rows).  With z clipped
+    to z >= 0 and the box duals repaired to u = max(0, c - A_eq^T y -
+    A_ub^T z), (y, z, u) is dual feasible, so b_eq . y + b_ub . z + sum u
+    >= c . x on poly (Neumaier & Shcherbina, Math. Prog. 99, 2004).  The
+    sum is formed exactly in fractions.Fraction and rounded up.
+    """
+    duals = np.array(duals, dtype=np.float64)
+    if duals.shape != (poly.b_eq.size + poly.b_ub.size,):
+        raise ValueError("need one dual per equality row and per inequality row")
+    duals[poly.b_eq.size:] = np.maximum(duals[poly.b_eq.size:], 0.0)
+    duals = [Fraction(v) for v in duals.tolist()]
+    rhs = np.concatenate([poly.b_eq, poly.b_ub]).tolist()
+    total = sum((Fraction(b) * d for b, d in zip(rhs, duals) if b), Fraction(0))
+    cols = np.vstack([poly.a_eq, poly.a_ub]).T.tolist()
+    for cj, col in zip(np.asarray(c).reshape(-1).tolist(), cols, strict=True):
+        u = Fraction(cj) - sum((Fraction(a) * d for a, d in zip(col, duals) if a), Fraction(0))
+        total += max(u, 0)
+    bound = float(total)
+    return bound if Fraction(bound) >= total else math.nextafter(bound, math.inf)
 
 
 # Factor value of one record, read off the matched table by its 1-based labels

@@ -354,6 +354,30 @@ def test_analyze_rejects_short_or_empty_runs(tmp_path, capsys):
     assert ".qpvt" in err
 
 
+@pytest.fixture(scope="module")
+def odd_dir(tmp_path_factory, ideal_config):
+    out = tmp_path_factory.mktemp("odd") / "run"
+    rc = main(["simulate", "--out", str(out), "--files", "12",
+               "--trials-per-file", "2001", "--config", str(ideal_config),
+               "--seed", "5"])
+    assert rc == 0
+    return out
+
+
+@pytest.mark.parametrize("offset", [100, 101, 2000], ids=["even", "odd", "trailing"])
+def test_analyze_names_the_file_with_a_byte_out_of_range(odd_dir, tmp_path, capsys, offset):
+    run = tmp_path / "run"
+    shutil.copytree(odd_dir, run)
+    bad = run / "trials-0004.qpvt"
+    data = bytearray(bad.read_bytes())
+    data[14 + offset] = 32  # past the 14-byte header
+    bad.write_bytes(bytes(data))
+    assert main(["analyze", str(run), "--out", str(tmp_path / "rep"),
+                 "--trials-per-instance", "4002"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: payload byte out of range 0..31" in err
+
+
 def test_analyze_local_data_exit_codes(tmp_path, capsys):
     cfg = tmp_path / "mix.json"
     cfg.write_text(json.dumps({"model": {"kind": "lr_mixture",

@@ -1,11 +1,14 @@
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diqpv.polytopes
-from diqpv.errors import LpStructureError
+from diqpv.errors import CertificationError, LpStructureError
 from diqpv.estimation import ml_fit_quantum
 from diqpv.polytopes import (
     CHSH_SIGNS,
@@ -30,6 +33,7 @@ from helpers import (
 )
 from oracles import (
     chsh_oracle,
+    dual_bound_fraction,
     lr_distance,
     lr_member_oracle,
     lr_vertex_catalog,
@@ -171,6 +175,11 @@ def test_max_linear_validates_and_verifies(rng):
     assert val == pytest.approx((cat @ c).max(), abs=1e-8)
 
 
+def _exact_fractions(tf):
+    num, den = _expected_factor_objective(tf.matched, tf.mismatch, tf.nu)
+    return np.array([Fraction(v, den) for v in num], dtype=object)
+
+
 def test_max_linear_bound_is_valid(golden_counts, golden_factor, nu_uniform):
     """The returned bound is proven and tight: c . x <= bound <= c . x + 1e-12
     at the returned maximizer x, on factor objectives, random objectives and
@@ -184,7 +193,7 @@ def test_max_linear_bound_is_valid(golden_counts, golden_factor, nu_uniform):
         wlr = build_wlr(ml_fit_quantum(pert), nu_uniform)
         lam, duals = lambda_max(wlr, nu_uniform)
         factors.append(assemble_robust(wlr, lam, nu_uniform, duals=duals))
-    cases = [(ns3, _expected_factor_objective(tf.matched, tf.mismatch, tf.nu)) for tf in factors]
+    cases = [(ns3, _exact_fractions(tf)) for tf in factors]
     cases += [(ns3, rng.standard_normal(64)) for _ in range(20)]
     cases += [(quantum, chsh_row(signs)) for signs in CHSH_SIGNS]
 
@@ -208,6 +217,65 @@ def test_max_linear_bound_is_valid(golden_counts, golden_factor, nu_uniform):
         _dual_bound(dyadic[:-1], ns3, np.zeros(56))
     with pytest.raises(ValueError):
         _dual_bound(dyadic, ns3, np.zeros(55))
+
+
+# Objective entries and duals: zeros, moderate values, and signed
+# subnormal and 1e300-scale magnitudes.
+_ENTRIES = st.one_of(
+    st.just(0.0),
+    st.floats(-4.0, 4.0),
+    st.builds(
+        operator.mul,
+        st.sampled_from([-1.0, 1.0]),
+        st.sampled_from([5e-324, 2.5e-310, 1e-300, 1e300, 2.5e300]),
+    ),
+)
+_POLYTOPES = {"ns3": ns3_polytope(), "quantum": quantum_set()}
+
+
+@given(name=st.sampled_from(sorted(_POLYTOPES)), data=st.data())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_dual_bound_matches_fraction_oracle(name, data):
+    # quantum_set has 8 inequality rows (their negative duals are clipped)
+    # and the non-integer right-hand side 2 sqrt 2.
+    poly = _POLYTOPES[name]
+    rows = poly.b_eq.size + poly.b_ub.size
+    c = data.draw(st.lists(_ENTRIES, min_size=poly.dim, max_size=poly.dim))
+    duals = data.draw(st.lists(_ENTRIES, min_size=rows, max_size=rows))
+    assert _dual_bound(c, poly, duals).hex() == dual_bound_fraction(c, poly, duals).hex()
+    fractions = np.array([Fraction(v) for v in c], dtype=object)
+    assert _dual_bound(fractions, poly, duals) == _dual_bound(c, poly, duals)
+
+
+def test_integer_objectives_stay_exact():
+    # numpy reads a list of ints at or past 2^63 as float64, which would
+    # round 2^63 + 1 to 2^63 and put the bound below the maximum.
+    ns3 = ns3_polytope()
+    for c in ([2**63 + 1] + [0] * 63, [2**64 - 1, 5] + [0] * 62):
+        exact = [Fraction(v, 2**63) for v in c]
+        bound = _dual_bound(c, ns3, np.zeros(56), 2**63)
+        assert bound.hex() == dual_bound_fraction(exact, ns3, np.zeros(56)).hex()
+        assert Fraction(bound) >= sum(exact) > 1
+        assert max_linear(c, ns3, 2**63)[0] == max_linear(np.array(exact), ns3)[0]
+
+
+def test_dual_bound_past_float_range_is_infinite():
+    ns3 = ns3_polytope()
+    duals = np.where(ns3.b_eq == 1.0, 1e308, 0.0)
+    assert _dual_bound(np.ones(64), ns3, duals) == math.inf
+
+
+def test_dual_bound_rejects_non_finite_values():
+    ns3 = ns3_polytope()
+    for bad in (math.inf, -math.inf, math.nan):
+        duals = np.zeros(56)
+        duals[7] = bad
+        with pytest.raises(CertificationError):
+            _dual_bound(np.ones(64), ns3, duals)
+        c = np.ones(64)
+        c[9] = bad
+        with pytest.raises(CertificationError):
+            _dual_bound(c, ns3, np.zeros(56))
 
 
 def test_prover_swap_involution(rng):

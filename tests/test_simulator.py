@@ -280,6 +280,24 @@ def test_sampler_threshold_on_a_draw(boundary, counted):
     assert np.array_equal(codes, inverse_cdf_sample(sigma3, nu, count, key))
 
 
+def test_sampler_never_draws_a_cell_below_zero(nu_uniform):
+    # A cell at -1e-15 (the most ConditionalDistribution3 admits) would make
+    # the CDF dip; the sampler keeps it nondecreasing, so the cell is never
+    # drawn and each code depends on its own word only.
+    table = np.full((2, 2, 2, 2, 2), 1.0 / 8.0)
+    table[0, 1, 1, 0, 1] = -1e-15
+    table[0, 1, 1, 0, 0] += 1.0 / 8.0 + 1e-15
+    sigma3 = ConditionalDistribution3(table)
+    probs = cell_probabilities(sigma3, nu_uniform).reshape(32)
+    code = int(np.argmin(probs))
+    assert probs[code] < 0.0 and np.diff(np.cumsum(probs)).min() < 0.0
+    key = stream_key(19, 3)
+    long = sample_trials(sigma3, nu_uniform, 300_001, key)
+    assert np.array_equal(sample_trials(sigma3, nu_uniform, 65_537, key), long[:65_537])
+    assert not (long == code).any()
+    assert np.bincount(long, minlength=32).min() == 0
+
+
 def test_stream_key_layout():
     assert stream_key(0, 0) == 0
     assert stream_key(1, 0) == 1 << 64

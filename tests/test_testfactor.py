@@ -1,14 +1,17 @@
 import json
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import diqpv.polytopes
 from diqpv.errors import CertificationError, UselessFactorError
 from diqpv.estimation import ConditionalDistribution2, ml_fit_quantum, regularize
-from diqpv.polytopes import chsh_values, lr_vertices, ns3_polytope, quantum_set
+from diqpv.polytopes import _dual_bound, chsh_values, lr_vertices, ns3_polytope, quantum_set
 from diqpv.protocol import calibrate, plan_entanglement
 from diqpv.testfactor import (
     LOCAL_CHSH_TOL,
@@ -40,9 +43,11 @@ from golden import (
     REFERENCE_VARIANCE_BITS,
     REFERENCE_WBAR_MIN,
     factor_array,
+    reference_counts_table,
 )
-from helpers import pr_box
+from helpers import ns3_probe_points, pr_box
 from oracles import (
+    dual_bound_fraction,
     factor_value,
     lambda_max_bisection,
     lr_distance,
@@ -394,9 +399,10 @@ def test_non_dyadic_nu_is_certified_exactly(golden_fit, monkeypatch):
     lam, duals = lambda_max(wlr, nu)
     tf = assemble_robust(wlr, lam, nu, duals=duals)
     assert tf.cert_margin >= 0.0
-    # The objective holds the exact products nu * w, not their rounding.
-    c = _expected_factor_objective(tf.matched, tf.mismatch, tf.nu)
-    assert c[3] == Fraction(0.3) * Fraction(tf.matched[0, 0, 0, 1])
+    # The objective holds the exact products nu * w / sum(nu), not their rounding.
+    num, den = _expected_factor_objective(tf.matched, tf.mismatch, tf.nu)
+    c = [Fraction(v, den) for v in num]
+    assert c[3] == Fraction(0.3) * Fraction(tf.matched[0, 0, 0, 1]) / sum(map(Fraction, nu.flat))
     assert any(Fraction(float(x)) != x for x in c)
     text = factor_to_json(tf)
     calls = _count_linprog(monkeypatch)
@@ -450,3 +456,158 @@ def test_regularized_fit_survives_certification(golden_fit, nu_uniform):
     # Heavier mismatch burns more gain than the calibration value.
     g_ref, _ = gain_variance(tf, regularize(golden_fit, 2e-6))
     assert g < g_ref
+
+
+_NS3 = ns3_polytope()
+# 8 mu as exact integers for the deterministic, uniform and PR-box points.
+_PROBES8 = (ns3_probe_points() * 8).astype(np.int64).tolist()
+# Sums to 1 + 2^-55 exactly.
+_NU_PAST_ONE = np.array([[0.3, 0.2], [0.1, 0.4]])
+
+
+def _fraction_objective(matched, mismatch, nu):
+    """The exact objective nu * w / sum(nu), written out in Fractions."""
+    total = sum(map(Fraction, np.asarray(nu).flat))
+    c = np.full((2, 2, 2, 2, 2, 2), Fraction(0), dtype=object)
+    for ma, b, oa, za, zb in product(range(2), repeat=5):
+        w = matched[ma, b, oa, za] if za == zb else mismatch
+        c[ma, b, b, oa, za, zb] = Fraction(nu[ma, b]) * Fraction(w) / total
+    return c.reshape(64)
+
+
+_FACTOR_VALUES = st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 5e-324, 1e-300]))
+_DUALS = st.one_of(st.just(0.0), st.floats(-4.0, 4.0), st.sampled_from([-1e300, 5e-324, 1e300]))
+
+
+@given(
+    matched=st.lists(_FACTOR_VALUES, min_size=16, max_size=16),
+    mismatch=_FACTOR_VALUES,
+    nu_ints=st.lists(st.integers(1, 9), min_size=4, max_size=4),
+    scale=st.floats(0.5, 2.0),
+    duals=st.lists(_DUALS, min_size=56, max_size=56),
+)
+# Numerators between 2^63 and 2^64, where numpy would read them as floats.
+@example(
+    matched=[0.0021] + [1.9] * 15, mismatch=1.9, nu_ints=[3, 1, 2, 2], scale=1.0, duals=[0.0] * 56
+)
+@example(matched=[0.0007] + [1.5] * 15, mismatch=1.5, nu_ints=[1] * 4, scale=1.0, duals=[0.0] * 56)
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_exact_objective_and_bound_match_fraction_oracle(matched, mismatch, nu_ints, scale, duals):
+    matched = np.reshape(matched, (2, 2, 2, 2))
+    nu = np.reshape(nu_ints, (2, 2)) / sum(nu_ints)
+    c = _fraction_objective(matched, mismatch, nu)
+    num, den = _expected_factor_objective(matched, mismatch, nu)
+    assert [Fraction(v, den) for v in num] == c.tolist()
+    # TestFactor's check: the scaled objective's bound, bit for bit.
+    p, q = scale.as_integer_ratio()
+    bound = _dual_bound([p * v for v in num], _NS3, duals, den * q)
+    assert bound.hex() == dual_bound_fraction(Fraction(scale) * c, _NS3, duals).hex()
+
+
+def _check_certificate(tf):
+    """The factor's own check against the oracle, weak duality at every
+    probe point with no LP, and a bit-identical JSON round trip."""
+    num, den = _expected_factor_objective(tf.matched, tf.mismatch, tf.nu)
+    p, q = float(tf.scale).as_integer_ratio()
+    bound = _dual_bound([p * v for v in num], _NS3, tf.duals, den * q)
+    scaled = np.array([Fraction(p * v, den * q) for v in num], dtype=object)
+    assert bound.hex() == dual_bound_fraction(scaled, _NS3, tf.duals).hex()
+    assert bound <= tf.scale and tf.cert_margin == 1.0 - bound / tf.scale
+    for point in _PROBES8:
+        value = sum(v * m for v, m in zip(num, point) if m)  # 8 den (c . mu)
+        assert Fraction(p * value, 8 * den * q) <= Fraction(bound)
+        assert value <= 8 * den  # E[W] <= 1
+    back = factor_from_json(factor_to_json(tf))
+    assert np.array_equal(back.matched, tf.matched) and back.mismatch == tf.mismatch
+    assert np.array_equal(back.duals, tf.duals) and back.scale == tf.scale
+    assert back.cert_margin == tf.cert_margin
+
+
+@given(
+    seed=st.none() | st.integers(0, 2**32 - 1),
+    nu=st.sampled_from(["uniform", "dyadic", "past-one"]),
+    transform=st.sampled_from(["none", "mix", "scale", "discount", "plan"]),
+    t=st.floats(0.0, 1.0),
+)
+@settings(derandomize=True, max_examples=30, deadline=None)
+def test_certified_factors_bound_every_probe_point(seed, nu, transform, t):
+    nu = {
+        "uniform": np.full((2, 2), 0.25),
+        "dyadic": np.array([[0.5, 0.125], [0.125, 0.25]]),
+        "past-one": _NU_PAST_ONE,
+    }[nu]
+    counts = reference_counts_table()
+    if seed is not None:  # c05's perturbation
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        jitter = np.exp(rng.normal(0.0, 0.05, size=counts.table.shape))
+        counts = CountsTable(rng.poisson(counts.table * jitter))
+    cal = calibrate(counts, nu, 2e-6)
+    tf = cal.factor
+    useful = wbar_min(tf) < 1.0
+    if transform == "mix":
+        tf = mix_with_unity(tf, t * min(mixing_cap(tf), 10.0))
+    elif transform == "scale" and useful:
+        tf = scale_for_fixed_entanglement(tf, 0.01 * t)
+    elif transform == "discount":
+        tf = entanglement_discounted(tf, 1e-3 * t)
+    elif transform == "plan" and useful:
+        tf = plan_entanglement(tf, cal.sigma3, 8e-6, 2.0**-64, 0.97725).factor
+    _check_certificate(tf)
+
+
+def test_golden_certificates_match_fraction_oracle(golden_factor):
+    for tf in (golden_factor, mix_with_unity(golden_factor, 0.7)):
+        _check_certificate(tf)
+
+
+def test_nu_past_one_is_normalized_exactly(golden_fit):
+    assert sum(map(Fraction, _NU_PAST_ONE.flat)) == 1 + Fraction(1, 2**55)
+    num, den = _expected_factor_objective(np.ones((2, 2, 2, 2)), 1.0, _NU_PAST_ONE)
+    # The unity factor's expectation is exactly 1 at every probe point
+    # (it was 1 + 2^-55 with the weights left unnormalized).
+    assert all(sum(v * m for v, m in zip(num, point)) == 8 * den for point in _PROBES8)
+    # Float duals cannot meet the entries n / (2^55 + 1) exactly, so the
+    # unity certificate bounds the unity factor one rounding above 1, and
+    # that rounding is divided out of the factor.
+    unity = mix_with_unity(calibrate(reference_counts_table(), _NU_PAST_ONE, 2e-6).factor, 0.0)
+    assert unity.scale == math.nextafter(1.0, 2.0)
+    assert np.all(unity.matched == unity.mismatch)
+    assert unity.mismatch == math.nextafter(1.0 / unity.scale, 0.0)
+    _check_certificate(unity)
+    # Uniform and other exactly summing weights keep their objective.
+    for nu in (np.full((2, 2), 0.25), np.array([[0.5, 0.125], [0.125, 0.25]])):
+        num, den = _expected_factor_objective(golden_fit.table, 0.9, nu)
+        c = [Fraction(v, den) for v in num]
+        assert c[3] == Fraction(nu[0, 0]) * Fraction(golden_fit.table[0, 0, 0, 1])
+
+
+def test_factor_json_with_huge_duals_fails_certification(golden_factor, monkeypatch):
+    # Finite duals whose exact bound lies past the float range bound
+    # nothing below infinity.
+    payload = json.loads(factor_to_json(golden_factor))
+    payload["certificate"]["duals"] = np.where(_NS3.b_eq == 1.0, 1e308, 0.0).tolist()
+    calls = _count_linprog(monkeypatch)
+    with pytest.raises(CertificationError):
+        factor_from_json(json.dumps(payload))
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("field", ["dual", "matched", "mismatch", "scale", "uncertified"])
+def test_non_finite_factor_json_fails_certification(golden_factor, field, value, monkeypatch):
+    payload = json.loads(factor_to_json(golden_factor))
+    if field == "dual":
+        payload["certificate"]["duals"][5] = value
+    elif field == "matched":
+        payload["matched"][1][0][1][0] = value
+    elif field == "mismatch":
+        payload["mismatch"] = value
+    elif field == "scale":
+        payload["certificate"]["scale"] = value
+    else:  # version 1: no certificate, one certify LP
+        del payload["certificate"]
+        payload["version"], payload["mismatch"] = 1, value
+    calls = _count_linprog(monkeypatch)
+    with pytest.raises(CertificationError):
+        factor_from_json(json.dumps(payload))
+    assert len(calls) == 0

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -190,6 +191,20 @@ def test_code_consumers_reject_anything_but_codes(tmp_path, golden_factor, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("position", ["even", "odd", "trailing"])
+@pytest.mark.parametrize("byte", [32, 200, 255])
+def test_aggregate_counts_rejects_high_bytes_off_its_pair_counts(tmp_path, position, byte):
+    chunk = trialdata._PAIRS_PER_CHUNK
+    codes = np.arange(2 * chunk + 3, dtype=np.uint8) % 32  # an odd count
+    codes[{"even": chunk + 4, "odd": 2 * chunk + 1, "trailing": -1}[position]] = byte
+    with pytest.raises(ValueError, match="^payload byte out of range"):
+        aggregate_counts(codes, "payload byte")
+    path = tmp_path / "bad.qpvt"
+    path.write_bytes(trialdata._HEADER.pack(b"QPVT", 1, 0, codes.size) + codes.tobytes())
+    with pytest.raises(ValueError, match="bad.qpvt: payload byte out of range"):
+        read_trials(path)
+
+
 def test_counts_csv_round_trip(tmp_path):
     counts = reference_counts_table()
     path = tmp_path / "counts.csv"
@@ -216,6 +231,14 @@ def test_settings_weights_coercion():
         settings_weights(np.array([[0.5, 0.5], [0.5, 0.5]]))
     with pytest.raises(ValueError):
         settings_weights(np.array([[1.5, -0.5], [0.0, 0.0]]))
+
+
+def test_settings_weights_reject_nan():
+    nan = np.array([[math.nan, 0.5], [0.25, 0.25]])
+    with pytest.raises(ValueError):
+        settings_weights(nan)
+    with pytest.raises(ValueError):
+        JointSettingsDistribution(table=nan)
 
 
 def test_joint_settings_strictly_positive():
