@@ -200,6 +200,8 @@ def cmd_simulate(args) -> int:
         raise ValueError("file count must be nonnegative")
     if args.threads is not None and args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    if args.trials_per_file < 0:
+        raise ValueError(f"--trials-per-file must be nonnegative, got {args.trials_per_file}")
     error_files = set()
     if args.error_files:
         error_files = {int(tok) for tok in args.error_files.split(",") if tok.strip()}
@@ -230,23 +232,21 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _rth(args) -> float:
-    """--rth, defaulting to 8e-6 in entanglement mode and 0 in basic mode."""
-    if args.rth is not None:
-        return args.rth
-    return 8e-6 if args.mode == "entanglement" else 0.0
+def _params(args, n=None) -> ProtocolParams:
+    """The checked operating point of analyze's and plan's protocol flags;
+    --rth defaults to 8e-6 in entanglement mode and 0 in basic mode."""
+    r_th = args.rth
+    if r_th is None:
+        r_th = 8e-6 if args.mode == "entanglement" else 0.0
+    return ProtocolParams(
+        delta=2.0 ** (-args.delta_log2), epsilon=args.epsilon, n=n, mode=args.mode, r_th=r_th
+    )
 
 
 def cmd_analyze(args) -> int:
     # Validate the operating point before any file is read; without
     # --trials-per-instance the first calibration window sizes instances.
-    params = ProtocolParams(
-        delta=2.0 ** (-args.delta_log2),
-        epsilon=args.epsilon,
-        n=args.trials_per_instance,
-        mode=args.mode,
-        r_th=_rth(args),
-    )
+    params = _params(args, args.trials_per_instance)
     names = sorted(f for f in os.listdir(args.data_dir) if f.endswith(".qpvt"))
     if not names:
         raise DiqpvError(f"no .qpvt files in {args.data_dir}")
@@ -301,13 +301,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    params = _params(args)
+    delta, r_th, epsilon = params.delta, params.r_th, params.epsilon
     counts = _counts_from_arg(args.counts)
-    nu = JointSettingsDistribution.uniform()
-    cal = calibrate(counts, nu, args.mismatch_d)
+    cal = calibrate(counts, JointSettingsDistribution.uniform(), args.mismatch_d)
     tf, sigma3 = cal.factor, cal.sigma3
-    g, v = gain_variance(tf, sigma3, nu)
-    delta = 2.0 ** (-args.delta_log2)
-    r_th = _rth(args)
+    g, v = gain_variance(tf, sigma3)
 
     os.makedirs(args.out, exist_ok=True)
     report = _provenance(args)
@@ -319,12 +318,12 @@ def cmd_plan(args) -> int:
     }
     try:
         if args.mode == "entanglement":
-            plan = plan_entanglement(tf, sigma3, r_th, delta, args.epsilon, nu=nu)
+            plan = plan_entanglement(tf, sigma3, r_th, delta, epsilon)
             n_req = plan.n
             report["operating_point"] = {
                 "mode": "entanglement",
                 "delta_log2": args.delta_log2,
-                "epsilon": args.epsilon,
+                "epsilon": epsilon,
                 "r_th": r_th,
                 "trials": n_req,
                 "runtime_seconds": n_req / TRIAL_RATE_HZ,
@@ -332,11 +331,11 @@ def cmd_plan(args) -> int:
                 "effective_gain_bits": plan.effective_gain_bits,
             }
         else:
-            n_req = required_trials(g, v, delta, args.epsilon)
+            n_req = required_trials(g, v, delta, epsilon)
             report["operating_point"] = {
                 "mode": "basic",
                 "delta_log2": args.delta_log2,
-                "epsilon": args.epsilon,
+                "epsilon": epsilon,
                 "trials": n_req,
                 "runtime_seconds": n_req / TRIAL_RATE_HZ,
             }
@@ -355,9 +354,9 @@ def cmd_plan(args) -> int:
         with open(os.path.join(args.out, "tradeoff_rth.csv"), "w", encoding="utf-8") as fh:
             fh.write("epsilon,runtime_seconds,r_th\n")
             ns = np.array([int(t * TRIAL_RATE_HZ) for t in runtimes])
-            rates = achievable_rth(tf, sigma3, ns, delta, args.epsilon)
+            rates = achievable_rth(tf, sigma3, ns, delta, epsilon)
             for t, rate in zip(runtimes, rates):
-                fh.write(f"{args.epsilon},{t!r},{float(rate)!r}\n")
+                fh.write(f"{epsilon},{t!r},{float(rate)!r}\n")
     _write_json(os.path.join(args.out, "report.json"), report)
     op = report["operating_point"]
     print(f"{op['mode']} operating point: {op['trials']} trials "
@@ -419,10 +418,10 @@ def cmd_geometry(args) -> int:
 
 def cmd_build_tf(args) -> int:
     counts = _counts_from_arg(args.counts)
-    nu = JointSettingsDistribution.uniform()
-    cal = calibrate(counts, nu, args.mismatch_d, meta={"calibration_trials": counts.total})
+    cal = calibrate(counts, JointSettingsDistribution.uniform(), args.mismatch_d,
+                    meta={"calibration_trials": counts.total})
     tf = cal.factor
-    g, v = gain_variance(tf, cal.sigma3, nu)
+    g, v = gain_variance(tf, cal.sigma3)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(testfactor_to_json(tf))
         fh.write("\n")

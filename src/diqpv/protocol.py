@@ -54,7 +54,6 @@ from .trialdata import (
     _checked_codes,
     aggregate_counts,
     read_trial_header,
-    settings_weights,
 )
 
 LN2 = math.log(2.0)
@@ -117,6 +116,12 @@ class InstanceResult:
     trials_padded: int
 
 
+def _instance_length(params: ProtocolParams) -> int:
+    if params.n is None:
+        raise ValueError("scoring an instance needs its trial count n; params.n is None")
+    return params.n
+
+
 def run_instance_from_counts(
     counts: CountsTable, trials_real: int, tf: TestFactor, params: ProtocolParams
 ) -> InstanceResult:
@@ -126,7 +131,7 @@ def run_instance_from_counts(
     neutral (factor 1 contributes log 0).  A zero factor value on an
     observed cell aborts the analysis.
     """
-    if trials_real > params.n:
+    if trials_real > _instance_length(params):
         raise ValueError("counts exceed the instance length")
     if counts.total != trials_real:
         raise ValueError(f"counts total {counts.total} != trials_real {trials_real}")
@@ -164,7 +169,7 @@ def run_instance(codes, tf: TestFactor, params: ProtocolParams) -> InstanceResul
     Streams longer than params.n are truncated by discarding trials from
     the end; shorter ones are padded with neutral trials.
     """
-    codes = _checked_codes(codes)[: params.n]
+    codes = _checked_codes(codes)[: _instance_length(params)]
     return run_instance_from_counts(aggregate_counts(codes), int(codes.size), tf, params)
 
 
@@ -260,12 +265,7 @@ def _mixed_gain_variance(w_flat, probs_flat, lams):
 
 
 def plan_entanglement(
-    tf: TestFactor,
-    sigma3: ConditionalDistribution3,
-    r_th: float,
-    delta: float,
-    epsilon: float,
-    nu=None,
+    tf: TestFactor, sigma3: ConditionalDistribution3, r_th: float, delta: float, epsilon: float
 ) -> EntanglementPlan:
     """Optimize the unity-mixing weight for an entanglement threshold.
 
@@ -278,8 +278,7 @@ def plan_entanglement(
     """
     if r_th < 0:
         raise ValueError("r_th must be nonnegative")
-    weights = tf.nu if nu is None else settings_weights(nu)
-    probs = cell_probabilities(sigma3, weights).reshape(32)
+    probs = cell_probabilities(sigma3, tf.nu).reshape(32)
     w_flat = tf.full_table().reshape(32)
     deficit = 1.0 - wbar_min(tf)
     if deficit <= 0:
@@ -398,6 +397,7 @@ class FileTrialSource:
         return self._counts
 
     def prefix_counts(self, k: int) -> CountsTable:
+        """Counts of the first k trials: the cached counts() once k >= trials."""
         if k >= self.trials:
             return self.counts()
         codes, _ = self._read_codes(self._path, limit=k)
@@ -497,16 +497,14 @@ def segment_and_analyze(
         tf = cal.factor
         lam_mix = None
         if params.mode == "entanglement":
-            plan = plan_entanglement(
-                tf, cal.sigma3, params.r_th, params.delta, params.epsilon, nu=weights
-            )
+            plan = plan_entanglement(tf, cal.sigma3, params.r_th, params.delta, params.epsilon)
             tf = plan.factor
             lam_mix = plan.lam_mix
         if params.n is None:
             if params.mode == "entanglement":
                 n = plan.n
             else:
-                g, v = gain_variance(tf, cal.sigma3, weights)
+                g, v = gain_variance(tf, cal.sigma3)
                 n = required_trials(g, v, params.delta, params.epsilon)
             params = replace(params, n=n)
         counts = CountsTable.zeros()
@@ -515,12 +513,9 @@ def segment_and_analyze(
             remaining = params.n - consumed
             if remaining <= 0:
                 break
-            if src.trials <= remaining:
-                counts = counts + src.counts()
-                consumed += src.trials
-            else:
-                counts = counts + src.prefix_counts(remaining)
-                consumed += remaining
+            k = min(src.trials, remaining)
+            counts = counts + src.prefix_counts(k)
+            consumed += k
         result = run_instance_from_counts(counts, consumed, tf, params)
         out.append(
             AnalyzedInstance(

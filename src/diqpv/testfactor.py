@@ -16,8 +16,8 @@ local-deterministic strategies by maximizing the expected log factor
 (prediction-based-ratio form), the mismatch constant is the largest
 certifiable value, read from one LP over the dual of the certification
 LP (the expected factor is affine in the constant) whose duals certify
-the factor, which can then be rescaled, mixed toward unity, or discounted
-for entanglement accounting, each transform mapping the duals along.
+the factor, which can then be rescaled or mixed toward unity, each
+transform mapping the duals along.
 """
 
 from __future__ import annotations
@@ -351,26 +351,14 @@ def mix_with_unity(tf: TestFactor, lam_mix: float) -> TestFactor:
     return certified_factor(matched, float(mismatch), tf.nu, duals, tf.meta)
 
 
-def entanglement_discounted(tf: TestFactor, r_th: float) -> TestFactor:
-    """Multiply by exp(-r_th (1 - wbar_min)); identity at r_th = 0."""
-    if r_th < 0:
-        raise ValueError("r_th must be nonnegative")
-    factor = math.exp(-r_th * (1.0 - wbar_min(tf)))
-    if factor == 1.0:
-        return tf
-    duals = tf.duals * (factor / tf.scale)
-    return certified_factor(tf.matched * factor, tf.mismatch * factor, tf.nu, duals, tf.meta)
-
-
-def gain_variance(tf: TestFactor, sigma3: ConditionalDistribution3, nu=None):
+def gain_variance(tf: TestFactor, sigma3: ConditionalDistribution3):
     """Per-trial gain and variance of log2 w under a behavior.
 
     Returns (g, v) in bits: g = E[log2 w], v = Var[log2 w] under the cell
-    distribution induced by sigma3 and nu.  A zero factor value on a
-    support cell is an error.
+    distribution induced by sigma3 and the factor's settings weights tf.nu.
+    A zero factor value on a support cell is an error.
     """
-    weights = tf.nu if nu is None else settings_weights(nu)
-    probs = cell_probabilities(sigma3, weights)
+    probs = cell_probabilities(sigma3, tf.nu)
     w = tf.full_table()
     mask = probs > 0
     if (w[mask] <= 0).any():

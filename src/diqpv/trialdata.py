@@ -101,18 +101,13 @@ def _read_header(fh, path) -> tuple[int, bool]:
     return int(count), bool(flags & FLAG_DETECTOR_ERROR)
 
 
-def read_trials(path) -> tuple[np.ndarray, bool]:
-    """Read a trial file; returns (records (n, 5) uint8, detector_error)."""
-    codes, error = read_trial_codes(path)
-    return unpack_codes(codes, f"{path}: payload byte"), error
-
-
 def read_trial_codes(path, limit: int | None = None) -> tuple[np.ndarray, bool]:
-    """Like read_trials but returns the payload as uint8 codes (cheaper for
-    bulk aggregation; code layout matches CountsTable.flat order).  limit
-    reads only the first trials, which stays cheap for prefix truncation.
-    The bytes are not range-checked here: aggregate_counts checks them as
-    it counts, in the same pass."""
+    """Read a trial file; returns (payload as uint8 codes, detector_error).
+
+    Codes are in CountsTable's flat order (unpack_codes gives records).
+    limit reads only the first trials, which stays cheap for prefix
+    truncation.  The bytes are not range-checked here: aggregate_counts
+    checks them as it counts, in the same pass."""
     with open(path, "rb") as fh:
         count, error = _read_header(fh, path)
         want = count if limit is None else min(int(limit), count)
@@ -263,8 +258,5 @@ def read_counts_csv(path) -> CountsTable:
             fields = [int(row[name]) for name in FIELD_NAMES]
             if any(v not in (1, 2) for v in fields):
                 raise ValueError(f"{path}: fields must be 1 or 2, got {fields}")
-            code = 0
-            for v, bit in zip(fields, _BITS):
-                code += (v - 1) * bit
-            flat[code] += int(row["count"])
+            flat[pack_records([fields])[0]] += int(row["count"])
     return CountsTable(table=flat.reshape(2, 2, 2, 2, 2))

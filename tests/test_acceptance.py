@@ -74,19 +74,18 @@ def test_c02_factor_construction_matches_reference(golden_fit, nu_uniform):
            f"{elapsed:.2f} s < 30 s")
 
 
-def test_c03_gain_statistics_match_reference(golden_factor, golden_sigma3, nu_uniform):
-    g, v = gain_variance(golden_factor, golden_sigma3, nu_uniform)
+def test_c03_gain_statistics_match_reference(golden_factor, golden_sigma3):
+    g, v = gain_variance(golden_factor, golden_sigma3)
     rg = abs(g / REFERENCE_GAIN_BITS - 1.0)
     rv = abs(v / REFERENCE_VARIANCE_BITS - 1.0)
     _check(3, "gain statistics", rg <= 1e-3 and rv <= 1e-3,
            f"g = {g:.6e} (rel {rg:.1e}), v = {v:.6e} (rel {rv:.1e}), tol 1e-3")
 
 
-def test_c04_planned_runtimes(golden_factor, golden_sigma3, nu_uniform):
-    g, v = gain_variance(golden_factor, golden_sigma3, nu_uniform)
+def test_c04_planned_runtimes(golden_factor, golden_sigma3):
+    g, v = gain_variance(golden_factor, golden_sigma3)
     n_basic = required_trials(g, v, 2.0 ** -64, 0.97725)
-    plan = plan_entanglement(golden_factor, golden_sigma3, 8e-6, 2.0 ** -64,
-                             0.97725, nu=nu_uniform)
+    plan = plan_entanglement(golden_factor, golden_sigma3, 8e-6, 2.0 ** -64, 0.97725)
     ok = 2.0e7 <= n_basic <= 3.0e7 and plan.n <= 6.0e7
     _check(4, "trial planning", ok,
            f"basic n = {n_basic} in [2e7, 3e7] ({n_basic / 250e3:.1f} s), "
@@ -118,7 +117,7 @@ def test_c06_adversarial_pass_rate(golden_factor, golden_sigma3, nu_uniform):
 
     start = time.perf_counter()
     delta, instances = 2.0 ** -10, 10_000
-    g, v = gain_variance(golden_factor, golden_sigma3, nu_uniform)
+    g, v = gain_variance(golden_factor, golden_sigma3)
     n = required_trials(g, v, delta, 0.97725)
     logw = np.log(golden_factor.full_table().ravel())
     threshold = -math.log(delta)
@@ -141,7 +140,7 @@ def test_c06_adversarial_pass_rate(golden_factor, golden_sigma3, nu_uniform):
 def test_c07_honest_pass_rate(golden_factor, golden_sigma3, nu_uniform):
     start = time.perf_counter()
     delta, epsilon, instances = 2.0 ** -16, 0.97725, 500
-    g, v = gain_variance(golden_factor, golden_sigma3, nu_uniform)
+    g, v = gain_variance(golden_factor, golden_sigma3)
     n = required_trials(g, v, delta, epsilon)
     logw = np.log(golden_factor.full_table().ravel())
     p = cell_probabilities(golden_sigma3, nu_uniform).ravel()

@@ -35,7 +35,13 @@ from diqpv import __version__
 from diqpv.cli import PLAN_EPSILONS, build_parser, main
 from diqpv.geometry import SPEED_OF_LIGHT_M_PER_NS
 from diqpv.testfactor import testfactor_from_json as factor_from_json
-from diqpv.trialdata import CountsTable, export_counts_csv, read_trial_header, read_trials
+from diqpv.trialdata import (
+    CountsTable,
+    export_counts_csv,
+    read_trial_codes,
+    read_trial_header,
+    unpack_codes,
+)
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -252,6 +258,14 @@ def test_simulate_rejects_threads_below_one(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+def test_simulate_rejects_negative_trials_per_file(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--files", "2",
+                 "--trials-per-file", "-5"]) == 1
+    assert capsys.readouterr().err == "error: --trials-per-file must be nonnegative, got -5\n"
+    assert not out.exists()
+
+
 def test_simulate_lr_shortcut_matches_config(tmp_path):
     cfg = tmp_path / "lr.json"
     cfg.write_text(json.dumps({"model": {"kind": "lr_vertex", "index": 5}}))
@@ -260,7 +274,8 @@ def test_simulate_lr_shortcut_matches_config(tmp_path):
     assert main(["simulate", "--out", str(a), "--model", "lr:5"] + base) == 0
     assert main(["simulate", "--out", str(b), "--config", str(cfg)] + base) == 0
     assert (a / "trials-0000.qpvt").read_bytes() == (b / "trials-0000.qpvt").read_bytes()
-    fields, error = read_trials(a / "trials-0000.qpvt")
+    codes, error = read_trial_codes(a / "trials-0000.qpvt")
+    fields = unpack_codes(codes)
     assert not error
     # deterministic strategy: outputs are functions of the settings draw
     assert len({tuple(row) for row in fields}) <= 4
@@ -456,6 +471,24 @@ def test_analyze_rejects_operating_point_before_calibrating(
     assert f"error: {message}" in capsys.readouterr().err
     assert fit_calls == []
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "basic", "--rth", "1e-5"],
+    ["--delta-log2", "0"],
+    ["--delta-log2", "-1"],
+], ids=["basic-rth", "delta-one", "delta-above-one"])
+def test_plan_rejects_the_operating_points_analyze_rejects(tmp_path, capsys, flags):
+    run = tmp_path / "run"
+    run.mkdir()
+    assert main(["analyze", str(run), "--out", str(tmp_path / "rep")] + flags) == 1
+    analyze_err = capsys.readouterr().err
+    out = tmp_path / "plan"
+    assert main(["plan", "--out", str(out)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == analyze_err
+    assert not out.exists()
 
 
 def test_plan_basic_golden_operating_point(tmp_path):

@@ -103,6 +103,20 @@ def test_counts_validation(golden_factor):
         run_instance_from_counts(counts, 30, golden_factor, params)
 
 
+def test_scoring_needs_an_instance_length(golden_factor, monkeypatch):
+    unsized = ProtocolParams(delta=0.01, epsilon=0.9, n=None)
+    counts = aggregate_counts(np.array([0, 0, 3], dtype=np.uint8))
+    with pytest.raises(ValueError, match="trial count n"):
+        run_instance_from_counts(counts, 3, golden_factor, unsized)
+
+    def no_counting(*args, **kwargs):
+        raise AssertionError("counted trials of an instance with no length")
+
+    monkeypatch.setattr("diqpv.protocol.aggregate_counts", no_counting)
+    with pytest.raises(ValueError, match="trial count n"):
+        run_instance(np.array([0, 0, 3], dtype=np.uint8), golden_factor, unsized)
+
+
 def test_unity_factor_never_passes(nu_uniform):
     unity = certified_factor(np.ones((2, 2, 2, 2)), 1.0, nu_uniform.table)
     params = ProtocolParams(delta=0.5, epsilon=0.9, n=5)
@@ -374,11 +388,9 @@ def test_segmentation_sizes_instances_from_first_window(nu_uniform, mode):
         window = window + src.counts()
     cal = calibrate(window, nu_uniform, 2e-6)
     if mode == "entanglement":
-        n = plan_entanglement(
-            cal.factor, cal.sigma3, r_th, auto.delta, auto.epsilon, nu=nu_uniform
-        ).n
+        n = plan_entanglement(cal.factor, cal.sigma3, r_th, auto.delta, auto.epsilon).n
     else:
-        g, v = gain_variance(cal.factor, cal.sigma3, nu_uniform)
+        g, v = gain_variance(cal.factor, cal.sigma3)
         n = required_trials(g, v, auto.delta, auto.epsilon)
     assert 1 <= n < 2000
     sized = segment_and_analyze(sources, auto, nu=nu_uniform)

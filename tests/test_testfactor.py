@@ -23,7 +23,6 @@ from diqpv.testfactor import (
     build_wlr,
     certified_factor,
     certify,
-    entanglement_discounted,
     gain_variance,
     lambda_max,
     lambda_max_table,
@@ -285,19 +284,6 @@ def test_scale_for_fixed_entanglement(golden_factor):
         scale_for_fixed_entanglement(unity, 0.1)
 
 
-def test_entanglement_discount(golden_factor):
-    assert entanglement_discounted(golden_factor, 0.0) is golden_factor
-    r_th = 8e-6
-    disc = entanglement_discounted(golden_factor, r_th)
-    factor = math.exp(-r_th * (1.0 - wbar_min(golden_factor)))
-    assert np.abs(disc.matched - factor * golden_factor.matched).max() <= 1e-15
-    assert disc.cert_margin >= golden_factor.cert_margin - 1e-12
-    unity = certified_factor(np.ones((2, 2, 2, 2)), 1.0, golden_factor.nu)
-    assert entanglement_discounted(unity, 5.0) is unity
-    with pytest.raises(ValueError):
-        entanglement_discounted(golden_factor, -1.0)
-
-
 def test_gain_variance_golden(golden_factor, golden_sigma3):
     g, v = gain_variance(golden_factor, golden_sigma3)
     assert g == pytest.approx(REFERENCE_GAIN_BITS, rel=1e-3)
@@ -424,7 +410,6 @@ def test_certificates_flow_through_calibration_and_transforms(
         mix_with_unity(tf, 0.0),
         mix_with_unity(tf, mixing_cap(tf)),
         scale_for_fixed_entanglement(tf, 0.002),
-        entanglement_discounted(tf, 8e-6),
     ]
     derived += [factor_from_json(factor_to_json(f)) for f in derived]
     assert len(calls) == 1
@@ -526,7 +511,7 @@ def _check_certificate(tf):
 @given(
     seed=st.none() | st.integers(0, 2**32 - 1),
     nu=st.sampled_from(["uniform", "dyadic", "past-one"]),
-    transform=st.sampled_from(["none", "mix", "scale", "discount", "plan"]),
+    transform=st.sampled_from(["none", "mix", "scale", "plan"]),
     t=st.floats(0.0, 1.0),
 )
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -548,8 +533,6 @@ def test_certified_factors_bound_every_probe_point(seed, nu, transform, t):
         tf = mix_with_unity(tf, t * min(mixing_cap(tf), 10.0))
     elif transform == "scale" and useful:
         tf = scale_for_fixed_entanglement(tf, 0.01 * t)
-    elif transform == "discount":
-        tf = entanglement_discounted(tf, 1e-3 * t)
     elif transform == "plan" and useful:
         tf = plan_entanglement(tf, cal.sigma3, 8e-6, 2.0**-64, 0.97725).factor
     _check_certificate(tf)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diqpv import trialdata
-from diqpv.protocol import ProtocolParams, run_instance
+from diqpv.protocol import FileTrialSource, ProtocolParams, run_instance
 from diqpv.trialdata import (
     FIELD_NAMES,
     JointSettingsDistribution,
@@ -17,7 +17,6 @@ from diqpv.trialdata import (
     read_counts_csv,
     read_trial_codes,
     read_trial_header,
-    read_trials,
     settings_weights,
     unpack_codes,
     write_trials,
@@ -51,7 +50,7 @@ def test_file_header_bytes(tmp_path):
 def test_error_flag_round_trip(tmp_path):
     path = tmp_path / "e.qpvt"
     write_trials(path, pack_records([(1, 1, 1, 1, 1)]), detector_error=True)
-    _, err = read_trials(path)
+    _, err = read_trial_codes(path)
     assert err is True
     assert read_trial_header(path) == (1, True)
 
@@ -61,15 +60,15 @@ def test_error_flag_round_trip(tmp_path):
 def test_round_trip_property(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("rt") / "r.qpvt"
     write_trials(path, pack_records(records))
-    out, err = read_trials(path)
+    codes, err = read_trial_codes(path)
     assert err is False
-    assert out.tolist() == [list(r) for r in records]
+    assert unpack_codes(codes).tolist() == [list(r) for r in records]
 
 
 def test_empty_file_round_trip(tmp_path):
     path = tmp_path / "empty.qpvt"
     write_trials(path, pack_records([]))
-    out, _ = read_trials(path)
+    out = unpack_codes(read_trial_codes(path)[0])
     assert out.shape == (0, 5)
     assert aggregate_counts(pack_records(np.zeros((0, 5), dtype=np.uint8))).total == 0
 
@@ -97,10 +96,10 @@ def test_truncated_and_bad_magic(tmp_path):
     path = tmp_path / "bad.qpvt"
     path.write_bytes(b"QPVT")
     with pytest.raises(ValueError):
-        read_trials(path)
+        read_trial_codes(path)
     path.write_bytes(b"XXXX" + bytes(10))
     with pytest.raises(ValueError):
-        read_trials(path)
+        read_trial_codes(path)
 
 
 def test_aggregate_matches_bincount_and_is_permutation_invariant():
@@ -202,7 +201,7 @@ def test_aggregate_counts_rejects_high_bytes_off_its_pair_counts(tmp_path, posit
     path = tmp_path / "bad.qpvt"
     path.write_bytes(trialdata._HEADER.pack(b"QPVT", 1, 0, codes.size) + codes.tobytes())
     with pytest.raises(ValueError, match="bad.qpvt: payload byte out of range"):
-        read_trials(path)
+        FileTrialSource(path).counts()
 
 
 def test_counts_csv_round_trip(tmp_path):
