@@ -12,9 +12,20 @@ runtime.  A certificate is a vector of row duals, which _dual_bound turns
 into an exact weak-duality upper bound on the maximum of an objective
 (floats, or exact integers over a common denominator), so a float solver
 error can loosen a bound but never make it too small.  Each solve is one
-dual simplex run that returns its duals as such a certificate: max_linear
-for a maximum, max_shift_within for the largest admissible shift of an
+linprog call that returns its duals as such a certificate: max_linear for
+a maximum, max_shift_within for the largest admissible shift of an
 objective.
+
+linprog is the package's own dense tableau simplex (numpy only; the
+solver affects how close a solve gets to optimal, never soundness).  Phase
+I depends on the polytope alone, so it runs once per polytope and is
+cached (HPolytope.simplex_start): it brings the rows to standard form,
+adds a row x_j <= 1 only where no nonnegative normalization row implies it,
+drops redundant equality rows (ns3 keeps 38 of its 56) and raises
+LpStructureError on an infeasible program.  Each solve is phase II from
+that tableau by Bland's rule, capped at _PIVOT_CAP pivots (LpStructureError
+past it).  Row duals solve the final basis's transposed system; the rows
+phase I dropped get dual 0, and _dual_bound repairs the box duals.
 """
 
 from __future__ import annotations
@@ -23,10 +34,9 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import count, product
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import CertificationError, LpStructureError
 
@@ -77,6 +87,11 @@ class HPolytope:
             np.concatenate([cols[col, row], self.b_eq, self.b_ub]).tolist()
         )
         return col.tolist(), row.tolist(), values[: col.size], values[col.size :], den
+
+    @cached_property
+    def simplex_start(self):
+        """Phase I of every simplex solve over this polytope (_simplex_start)."""
+        return _simplex_start(self)
 
 
 def correlator_rows() -> np.ndarray:
@@ -190,33 +205,20 @@ def lr_vertices() -> np.ndarray:
     return out
 
 
-_TIGHT = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
-
-
 def max_linear(c, poly: HPolytope, den: int = 1) -> tuple[float, np.ndarray, np.ndarray]:
     """Maximize (c / den) . x over poly; returns (bound, maximizer, duals).
 
-    One dual simplex solve on the objective rounded to floats.  bound is
-    _dual_bound at its row duals: a proven upper bound on the maximum,
+    One simplex solve (linprog) on the objective rounded to floats.  bound
+    is _dual_bound at its row duals: a proven upper bound on the maximum,
     above the simplex optimum by at most the duals' float error.
-    Infeasible or unbounded programs raise LpStructureError.
+    Infeasible programs, and solves past the pivot cap, raise
+    LpStructureError.
     """
     values = _exact_values(c)
     if len(values) != poly.dim:
         raise ValueError(f"objective has {len(values)} entries, polytope has {poly.dim}")
-    res = linprog(
-        -np.array([v / den for v in values], dtype=np.float64),
-        A_ub=poly.a_ub, b_ub=poly.b_ub, A_eq=poly.a_eq, b_eq=poly.b_eq,
-        bounds=(0.0, 1.0), method="highs-ds", options=_TIGHT,
-    )
-    if res.status != 0:
-        raise LpStructureError(f"{poly.name}: LP status {res.status} ({res.message})")
-    # linprog minimizes -c . x, so its marginals are the negated duals.
-    duals = -np.concatenate([res.eqlin.marginals, res.ineqlin.marginals])
-    return _dual_bound(values, poly, duals, den), res.x, duals
+    _, x, duals = linprog(poly, np.array([v / den for v in values], dtype=np.float64))
+    return _dual_bound(values, poly, duals, den), x, duals
 
 
 def _exact_values(c) -> list:
@@ -285,37 +287,138 @@ def _dual_bound(c, poly: HPolytope, duals, den: int = 1) -> float:
 def max_shift_within(c0, c1, poly: HPolytope, bound: float, t_max: float):
     """Largest t in [0, t_max] with max over poly of (c0 + t c1) . x <= bound.
 
-    One LP over the dual of max_linear's program.  A dual point (y, z, u)
-    with A_eq^T y + A_ub^T z + u >= c0 + t c1, z >= 0, u >= 0 bounds the
-    primal maximum by b_eq . y + b_ub . z + sum u (weak duality), and
-    strong duality makes that bound tight; so t is admissible exactly when
-    some dual point keeps the bound <= bound, and the LP maximizes t over
-    (t, y, z, u) jointly.  Returns (t, row duals (y, z)), a certificate for
+    c1 must be nonnegative, so that the maximum grows with t.  One simplex
+    solve (linprog).  Returns (t, row duals (y, z)), a certificate for
     c0 + t c1, or None when no t in range is admissible.
     """
     c0 = np.asarray(c0, dtype=np.float64).reshape(-1)
     c1 = np.asarray(c1, dtype=np.float64).reshape(-1)
     if c0.shape != (poly.dim,) or c1.shape != (poly.dim,):
         raise ValueError(f"objectives must have {poly.dim} entries")
-    rows = np.vstack([poly.a_eq, poly.a_ub])
-    m, n_eq, dim = rows.shape[0], poly.a_eq.shape[0], poly.dim
-    # Variables: row duals (y free, z >= 0), box duals u >= 0, then t.
-    a_ub = np.zeros((dim + 1, m + dim + 1))
-    a_ub[:dim, :m] = -rows.T
-    a_ub[:dim, m : m + dim] = -np.eye(dim)
-    a_ub[:dim, -1] = c1
-    a_ub[dim, :m] = np.concatenate([poly.b_eq, poly.b_ub])
-    a_ub[dim, m : m + dim] = 1.0
-    b_ub = np.concatenate([-c0, [bound]])
-    objective = np.zeros(m + dim + 1)
-    objective[-1] = -1.0
-    bounds = [(None, None)] * n_eq + [(0.0, None)] * (m - n_eq + dim) + [(0.0, t_max)]
-    res = linprog(
-        objective, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs-ds",
-        options=_TIGHT,
-    )
-    if res.status == 2:
-        return None
-    if res.status != 0:
-        raise LpStructureError(f"{poly.name}: dual LP status {res.status} ({res.message})")
-    return float(res.x[-1]), res.x[:m]
+    if (c1 < 0).any():
+        raise ValueError("the shift direction c1 must be nonnegative")
+    found = linprog(poly, c0, c1, bound, t_max)
+    return None if found is None else (found[0], found[2])
+
+
+# The simplex.  Pivot elements and phase-I residuals up to _PIVOT_TOL count
+# as zero, reduced costs up to _COST_TOL as not improving.
+_PIVOT_TOL = 1e-9
+_COST_TOL = 1e-12
+_PIVOT_CAP = 1000
+
+
+def linprog(poly: HPolytope, c0, c1=None, bound: float = math.inf, t_max: float = 0.0):
+    """The package's own simplex: every LP solve of the package is one call.
+
+    Finds the largest t in [0, t_max] with max over poly of (c0 + t c1) . x
+    <= bound, for c1 >= 0, by Newton (Dinkelbach) steps on that convex,
+    nondecreasing, piecewise-linear maximum f(t).  It starts at t =
+    min(1, t_max), or at t_max when that start is admissible; each step
+    moves t down to where the current maximizer's line reaches bound and
+    re-solves from the previous basis, since only the objective changed.
+    With the defaults it is one maximization of c0 . x.  Returns (t,
+    maximizer x, row duals (y, z)) or None when no t in range is
+    admissible; the duals solve the final basis's transposed system, and
+    rows that phase I dropped get 0.  LpStructureError past _PIVOT_CAP
+    pivots in one call.
+    """
+    tab, basis, rows, a, signs = poly.simplex_start
+    tab, basis = tab.copy(), basis.copy()
+    n = a.shape[1]
+    c1 = np.zeros(poly.dim) if c1 is None else c1
+    t, budget = min(1.0, t_max), _PIVOT_CAP
+    for step in count():
+        c = np.zeros(n)
+        c[: poly.dim] = c0 + t * c1
+        tab[-1, :-1] = c - c[basis] @ tab[:-1, :-1]
+        tab[-1, -1] = -(c[basis] @ tab[:-1, -1])
+        budget -= _simplex(tab, basis, n, budget)
+        x = np.zeros(n)
+        x[basis] = tab[:-1, -1]
+        x = x[: poly.dim]
+        height, slope = float(c0 @ x), float(c1 @ x)
+        if height + t * slope <= bound:
+            if step == 0 and t < t_max:
+                t = t_max
+                continue
+            break
+        if slope <= 0.0 or bound < height:
+            return None  # the line, a lower bound on f, exceeds bound on [0, t]
+        t_next = (bound - height) / slope
+        if t_next >= t:
+            break  # f(t) exceeds bound by rounding only
+        t = t_next
+    duals = np.zeros(signs.size)
+    duals[rows] = np.linalg.solve(a[rows][:, basis].T, c[basis])
+    duals *= signs
+    return t, x, duals[: poly.b_eq.size + poly.b_ub.size]
+
+
+def _simplex_start(poly: HPolytope):
+    """Phase I over poly in standard form {v >= 0 : a v = b}.
+
+    v is x, one slack per inequality row, and one slack per row x_j <= 1
+    that no nonnegative equality row already implies.  Rows are signed so
+    that b >= 0, and an artificial per row starts the basis.  After phase I
+    the artificials still basic are pivoted out; a row where that fails is
+    redundant and dropped.  Returns (tableau over the kept rows with an
+    objective row, basis, kept rows, a, signs).
+    """
+    dim, n_eq, n_ub = poly.dim, poly.b_eq.size, poly.b_ub.size
+    implied = np.zeros(dim, dtype=bool)
+    for row, rhs in zip(poly.a_eq, poly.b_eq):
+        if (row >= 0).all() and rhs >= 0:
+            implied |= (row > 0) & (row >= rhs)
+    box = np.flatnonzero(~implied)
+    m, n = n_eq + n_ub + box.size, dim + n_ub + box.size
+    a = np.zeros((m, n))
+    a[:n_eq, :dim] = poly.a_eq
+    a[n_eq : n_eq + n_ub, :dim] = poly.a_ub
+    a[n_eq + n_ub + np.arange(box.size), box] = 1.0
+    a[n_eq:, dim:] = np.eye(m - n_eq)
+    b = np.concatenate([poly.b_eq, poly.b_ub, np.ones(box.size)])
+    signs = np.where(b < 0, -1.0, 1.0)
+    a, b = a * signs[:, None], b * signs
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n], tab[:m, n:-1], tab[:m, -1] = a, np.eye(m), b
+    tab[m, :n], tab[m, -1] = a.sum(axis=0), b.sum()
+    basis = np.arange(n, n + m)
+    _simplex(tab, basis, n, _PIVOT_CAP)
+    if tab[m, -1] > _PIVOT_TOL:
+        raise LpStructureError(f"{poly.name}: infeasible (phase I residual {tab[m, -1]:.3g})")
+    for r in np.flatnonzero(basis >= n):
+        cols = np.flatnonzero(np.abs(tab[r, :n]) > _PIVOT_TOL)
+        if cols.size:
+            _pivot(tab, basis, r, cols[0])
+    rows = np.setdiff1d(np.arange(m), basis[basis >= n] - n)
+    keep = np.append(np.flatnonzero(basis < n), m)  # and the objective row
+    tab = np.delete(tab, np.s_[n:-1], axis=1)  # the artificial columns
+    return tab[keep], basis[keep[:-1]], rows, a, signs
+
+
+def _simplex(tab, basis, n, budget) -> int:
+    """Maximize over tab's objective row by Bland's rule; returns the pivots made."""
+    used = 0
+    while True:
+        j = int(np.argmax(tab[-1, :n] > _COST_TOL))  # Bland: the first improving column
+        if tab[-1, j] <= _COST_TOL:
+            return used
+        if used == budget:
+            raise LpStructureError(f"simplex passed its cap of {_PIVOT_CAP} pivots")
+        col = tab[:-1, j]
+        ok = np.flatnonzero(col > _PIVOT_TOL)
+        if ok.size == 0:
+            raise LpStructureError("simplex found no pivot row: the program is unbounded")
+        ratios = tab[:-1, -1][ok] / col[ok]
+        ties = ok[ratios <= ratios.min() + _COST_TOL]
+        _pivot(tab, basis, ties[np.argmin(basis[ties])], j)
+        used += 1
+
+
+def _pivot(tab, basis, r, j) -> None:
+    tab[r] /= tab[r, j]
+    col = tab[:, j].copy()
+    col[r] = 0.0
+    tab -= col[:, None] * tab[r]
+    basis[r] = j

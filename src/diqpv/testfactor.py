@@ -260,30 +260,25 @@ def lambda_max(wlr: MatchedFactor, nu) -> tuple[float, np.ndarray]:
 
 
 def lambda_max_table(table: np.ndarray, nu) -> tuple[float, np.ndarray]:
-    """Largest lambda with adversarial expectation <= 1, from one dual LP.
+    """Largest lambda with adversarial expectation <= 1, from one LP.
 
     The expected factor is c0 + lambda c1 (c0 the matched part, c1 the
-    mismatch part), so the largest certifiable lambda in [0, 10] is one LP
-    over the dual of certify's program (polytopes.max_shift_within).  The
-    expectation is at least lambda itself (an all-mismatch behavior is
-    allowed), so 10 never binds.  Returns (lambda, the LP's NS3 row duals);
-    raises CertificationError when the matched table alone is not
-    certifiable.
+    mismatch part), so the largest certifiable lambda is one shift search
+    (polytopes.max_shift_within).  The expectation is at least lambda
+    itself (an all-mismatch behavior is allowed), so no constant above 1
+    is certifiable and the search stops at 1.  Returns (lambda, the LP's
+    NS3 row duals); raises CertificationError when the matched table alone
+    is not certifiable.
     """
     nu = settings_weights(nu)
     c0 = _float_objective(table, 0.0, nu)
     c1 = _float_objective(np.zeros((2, 2, 2, 2)), 1.0, nu)
-    found = max_shift_within(c0, c1, _NS3, bound=1.0, t_max=10.0)
+    found = max_shift_within(c0, c1, _NS3, bound=1.0, t_max=1.0)
     if found is None:
         raise CertificationError(
             "matched factor alone is not certifiable; no valid mismatch constant"
         )
-    lam, duals = found
-    # The all-mismatch behavior gives Exp(W) >= lambda, so no constant
-    # above 1 is ever truly certifiable; solver tolerance must not leak
-    # past that bound (it would fabricate gain for a unit factor).  The
-    # duals still cover the cap: the objective grows with lambda.
-    return min(lam, 1.0), duals
+    return found
 
 
 def assemble_robust(wlr: MatchedFactor, lam: float, nu, duals, meta=None) -> TestFactor:
@@ -297,16 +292,15 @@ def assemble_robust(wlr: MatchedFactor, lam: float, nu, duals, meta=None) -> Tes
     return certified_factor(wlr.table, float(lam), nu, duals, meta)
 
 
-def wbar_min(tf: TestFactor, nu=None) -> float:
+def wbar_min(tf: TestFactor) -> float:
     """Settings-averaged minimum factor value sum nu min_cells w.
 
     The minimum per settings pair ranges over all outcome cells including
-    the mismatch constant.  nu defaults to the factor's own distribution;
-    a raw weight array (e.g. a point mass) is accepted.
+    the mismatch constant, and nu is tf.nu, the weights the factor was
+    certified for.
     """
-    weights = tf.nu if nu is None else settings_weights(nu)
     per_settings = np.minimum(tf.matched.min(axis=(2, 3)), tf.mismatch)
-    return float((weights * per_settings).sum())
+    return float((tf.nu * per_settings).sum())
 
 
 def scale_for_fixed_entanglement(tf: TestFactor, xi: float) -> TestFactor:

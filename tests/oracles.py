@@ -8,9 +8,10 @@ textbook per-term recurrence, and dense axis scans and Monte Carlo
 sampling of the defining inequalities instead of closed-form region
 sizes, a barrier solver that keeps stepping to its caps instead of
 stopping when a step leaves x unchanged, and float draws looked up in the
-cell CDF instead of integer thresholds and a bucket table, and the weak-duality
+cell CDF instead of integer thresholds and a bucket table, the weak-duality
 bound summed in fractions.Fraction instead of integers over one common
-denominator.  Tests freeze these as the definition of correct.
+denominator, and scipy's HiGHS dual simplex instead of the package's own
+tableau simplex.  Tests freeze these as the definition of correct.
 """
 
 import math
@@ -227,6 +228,60 @@ def lambda_max_bisection(table, nu, tol=1e-9):
         else:
             lo = mid
     return min(lo, 1.0)
+
+
+# The package's LPs solved by HiGHS
+
+
+_HIGHS_TIGHT = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
+
+
+def max_linear_highs(c, poly):
+    """Maximize c . x over poly by HiGHS's dual simplex; returns (maximizer, row duals)."""
+    from scipy.optimize import linprog
+
+    res = linprog(
+        -np.asarray(c, dtype=np.float64), A_ub=poly.a_ub, b_ub=poly.b_ub,
+        A_eq=poly.a_eq, b_eq=poly.b_eq, bounds=(0.0, 1.0), method="highs-ds",
+        options=_HIGHS_TIGHT,
+    )
+    if res.status != 0:
+        raise RuntimeError(f"{poly.name}: LP status {res.status} ({res.message})")
+    # linprog minimizes -c . x, so its marginals are the negated duals.
+    return res.x, -np.concatenate([res.eqlin.marginals, res.ineqlin.marginals])
+
+
+def max_shift_within_highs(c0, c1, poly, bound, t_max):
+    """Largest t in [0, t_max] with max over poly of (c0 + t c1) . x <= bound,
+    as one HiGHS LP over the dual of that maximum: a dual point (y, z, u)
+    with A_eq^T y + A_ub^T z + u >= c0 + t c1, z >= 0, u >= 0 bounds the
+    maximum by b_eq . y + b_ub . z + sum u, and the LP maximizes t over
+    (t, y, z, u) jointly.  Returns (t, row duals (y, z)) or None."""
+    from scipy.optimize import linprog
+
+    c0 = np.asarray(c0, dtype=np.float64).reshape(-1)
+    c1 = np.asarray(c1, dtype=np.float64).reshape(-1)
+    rows = np.vstack([poly.a_eq, poly.a_ub])
+    m, n_eq, dim = rows.shape[0], poly.a_eq.shape[0], poly.dim
+    a_ub = np.zeros((dim + 1, m + dim + 1))
+    a_ub[:dim, :m] = -rows.T
+    a_ub[:dim, m : m + dim] = -np.eye(dim)
+    a_ub[:dim, -1] = c1
+    a_ub[dim, :m] = np.concatenate([poly.b_eq, poly.b_ub])
+    a_ub[dim, m : m + dim] = 1.0
+    objective = np.zeros(m + dim + 1)
+    objective[-1] = -1.0
+    bounds = [(None, None)] * n_eq + [(0.0, None)] * (m - n_eq + dim) + [(0.0, t_max)]
+    res = linprog(objective, A_ub=a_ub, b_ub=np.concatenate([-c0, [bound]]),
+                  bounds=bounds, method="highs-ds", options=_HIGHS_TIGHT)
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise RuntimeError(f"{poly.name}: dual LP status {res.status} ({res.message})")
+    return float(res.x[-1]), res.x[:m]
 
 
 # Weak-duality bound from row duals, summed in fractions.Fraction

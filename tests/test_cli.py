@@ -109,14 +109,29 @@ def _assert_prints_version(proc):
     assert proc.stdout.strip() == f"diqpv {__version__}"
 
 
-def test_cli_import_leaves_out_scipy_stats():
+_NO_SCIPY = """
+import json, sys
+import diqpv.cli
+loaded = ["scipy" in sys.modules]
+codes = [diqpv.cli.main(["plan", "--mode", "entanglement", "--points", "4",
+                         "--out", sys.argv[1]]),
+         diqpv.cli.main(["build-tf", "--out", sys.argv[2]])]
+loaded.append("scipy" in sys.modules)
+print(json.dumps({"codes": codes, "scipy_loaded": loaded}))
+"""
+
+
+def test_cli_imports_plans_and_builds_without_scipy(tmp_path):
+    # scipy is a test dependency only: neither the import nor a plan or a
+    # factor build may load any part of it.
     package_parent = str(Path(diqpv.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, diqpv.cli; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", _NO_SCIPY, str(tmp_path / "plan"), str(tmp_path / "tf.json")],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=package_parent))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0, 0], "scipy_loaded": [False, False]}
 
 
 def test_console_script_entry_point(tmp_path):

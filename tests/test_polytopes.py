@@ -13,9 +13,11 @@ from diqpv.estimation import ml_fit_quantum
 from diqpv.polytopes import (
     CHSH_SIGNS,
     TSIRELSON,
+    HPolytope,
     chsh_values,
     lr_vertices,
     max_linear,
+    max_shift_within,
     ns3_polytope,
     quantum_set,
 )
@@ -37,6 +39,7 @@ from oracles import (
     lr_distance,
     lr_member_oracle,
     lr_vertex_catalog,
+    max_linear_highs,
     ns2_vertex_catalog,
 )
 
@@ -330,3 +333,63 @@ def test_max_linear_detects_infeasible():
     )
     with pytest.raises(LpStructureError):
         max_linear(np.ones(16), poly)
+
+
+def test_phase_one_drops_redundant_rows_and_their_duals():
+    ns3 = ns3_polytope()
+    _, basis, rows, _, _ = ns3.simplex_start
+    assert rows.size == basis.size == 38  # the rank of the 56 equalities
+    c = np.random.Generator(np.random.Philox(key=9)).standard_normal(64)
+    bound, x, duals = max_linear(c, ns3)
+    dropped = np.setdiff1d(np.arange(56), rows)
+    assert np.all(duals[dropped] == 0.0)
+    x_h, _ = max_linear_highs(c, ns3)
+    assert abs(bound - c @ x_h) <= 1e-12 and abs(c @ x - c @ x_h) <= 1e-12
+
+
+def _square(a_eq, b_eq, a_ub, b_ub) -> HPolytope:
+    return HPolytope(
+        "square", 2, np.reshape(a_eq, (-1, 2)).astype(float), np.array(b_eq, dtype=float),
+        np.reshape(a_ub, (-1, 2)).astype(float), np.array(b_ub, dtype=float),
+    )
+
+
+def test_simplex_adds_box_rows_no_normalization_row_implies():
+    # No equality row bounds x, so both box rows x_j <= 1 enter the program.
+    cut = _square([], [], [[1.0, 1.0]], [1.5])
+    # Rows: the cut and two box rows; columns: x, then a slack per row.
+    assert cut.simplex_start[3].shape == (3, 5)
+    assert max_linear([1.0, -1.0], cut)[0] == 1.0
+    assert max_linear([1.0, 1.0], cut)[0] == 1.5
+    # x1 + x2 = 1 written with a negative right-hand side: rows are signed
+    # for phase I and the dual is mapped back to the row as given.
+    line = _square([[-1.0, -1.0]], [-1.0], [], [])
+    bound, x, duals = max_linear([2.0, 1.0], line)
+    assert bound == 2.0 and np.array_equal(x, [1.0, 0.0])
+    assert _dual_bound([2.0, 1.0], line, duals) == 2.0
+
+
+def test_max_shift_within_on_a_square():
+    # f(t) = max x1 + t x2 over the cut square is 1 + t / 2 up to t = 1,
+    # then 1 / 2 + t.
+    cut = _square([], [], [[1.0, 1.0]], [1.5])
+    t, duals = max_shift_within([1.0, 0.0], [0.0, 1.0], cut, bound=1.25, t_max=10.0)
+    assert t == 0.5 and _dual_bound([1.0, 0.5], cut, duals) == 1.25
+    # Admissible at the start t = 1: then t_max, or Newton steps down from it.
+    assert max_shift_within([1.0, 0.0], [0.0, 1.0], cut, bound=100.0, t_max=3.0)[0] == 3.0
+    t, duals = max_shift_within([1.0, 0.0], [0.0, 1.0], cut, bound=2.0, t_max=3.0)
+    assert t == 1.5 and _dual_bound([1.0, 1.5], cut, duals) == 2.0
+    assert max_shift_within([1.0, 0.0], [0.0, 1.0], cut, bound=0.5, t_max=3.0) is None
+    with pytest.raises(ValueError, match="nonnegative"):
+        max_shift_within([1.0, 0.0], [0.0, -1.0], cut, bound=1.0, t_max=1.0)
+
+
+def test_simplex_raises_past_its_pivot_cap(monkeypatch):
+    ns3 = ns3_polytope()
+    c = np.random.Generator(np.random.Philox(key=7)).standard_normal(64)
+    assert ns3.simplex_start is not None  # phase I under the full cap
+    monkeypatch.setattr(diqpv.polytopes, "_PIVOT_CAP", 2)
+    with pytest.raises(LpStructureError, match="cap"):
+        max_linear(c, ns3)
+    with pytest.raises(LpStructureError, match="cap"):
+        ns3_polytope().simplex_start  # phase I is capped as well

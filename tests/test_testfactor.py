@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import diqpv.polytopes
@@ -17,6 +17,7 @@ from diqpv.testfactor import (
     LOCAL_CHSH_TOL,
     MatchedFactor,
     _expected_factor_objective,
+    _float_objective,
     _pin_free_cells,
     _vertex_constraint_rows,
     assemble_robust,
@@ -50,6 +51,8 @@ from oracles import (
     factor_value,
     lambda_max_bisection,
     lr_distance,
+    max_linear_highs,
+    max_shift_within_highs,
     tsirelson_factor_oracle,
     tsirelson_point,
 )
@@ -61,8 +64,8 @@ def test_golden_factor_matches_reference(
     assert golden_wlr.lr_violating
     assert golden_lambda == pytest.approx(REFERENCE_MISMATCH, abs=1e-4)
     assert np.abs(golden_factor.matched - factor_array()).max() <= 1e-4
-    # The lambda LP's duals bound the assembled factor by 1 + 7.2e-16
-    # exactly; dividing that out lowers the constant by 8 ulp (8.9e-16).
+    # The lambda LP's duals bound the assembled factor by 1 + 3.9e-16
+    # exactly; dividing that out lowers the constant by 5 ulp (5.6e-16).
     assert golden_lambda - 8 * math.ulp(golden_lambda) <= golden_factor.mismatch < golden_lambda
     # The pipeline function reproduces the hand-chained fixtures exactly.
     cal = calibrate(golden_counts, nu_uniform, 2e-6)
@@ -80,8 +83,10 @@ def test_golden_factor_certified(golden_factor, nu_uniform):
 
 def test_wbar_min_values(golden_factor):
     assert wbar_min(golden_factor) == pytest.approx(REFERENCE_WBAR_MIN, abs=1e-5)
-    point = np.array([[1.0, 0.0], [0.0, 0.0]])
-    assert wbar_min(golden_factor, point) == pytest.approx(0.8825655759, abs=1e-4)
+    # The minimum at settings (0, 0), which a point mass there would average to.
+    assert min(golden_factor.matched[0, 0].min(), golden_factor.mismatch) == pytest.approx(
+        0.8825655759, abs=1e-4
+    )
     assert golden_factor.global_min() == pytest.approx(0.7390162290, abs=1e-4)
 
 
@@ -364,7 +369,7 @@ def test_version_1_json_is_certified_by_one_lp(golden_wlr, golden_lambda, monkey
 def test_no_slack_and_excess_is_divided_out(golden_wlr, golden_lambda_duals, nu_uniform):
     lam, duals = golden_lambda_duals
     matched = np.stack([golden_wlr.table[:, :, :, z] for z in range(2)], axis=-1)
-    # At the lambda LP's own duals the exact bound is 1 + 7.2e-16: rejected.
+    # At the lambda LP's own duals the exact bound is 1 + 3.9e-16: rejected.
     with pytest.raises(CertificationError):
         CertifiedFactor(matched, lam, nu_uniform, duals=duals)
     for shift in (0.0, 1e-12):
@@ -594,3 +599,64 @@ def test_non_finite_factor_json_fails_certification(golden_factor, field, value,
     with pytest.raises(CertificationError):
         factor_from_json(json.dumps(payload))
     assert len(calls) == 0
+
+
+def test_simplex_matches_highs_on_perturbed_fits(golden_counts, nu_uniform):
+    """On c05's 50 perturbed fits the mismatch constant agrees with HiGHS's
+    to 1e-15, its duals bound the assembled objective no looser than
+    HiGHS's do, and the certify bound sits on HiGHS's maximum."""
+    nu = settings_weights(nu_uniform)
+    c1 = _float_objective(np.zeros((2, 2, 2, 2)), 1.0, nu)
+    rng = np.random.Generator(np.random.Philox(key=1105))
+    for k in range(50):
+        jitter = np.exp(rng.normal(0.0, 0.05, size=golden_counts.table.shape))
+        pert = CountsTable(rng.poisson(golden_counts.table * jitter).astype(np.float64))
+        table = build_wlr(ml_fit_quantum(pert), nu).table
+        lam, duals = lambda_max_table(table, nu)
+        c0 = _float_objective(table, 0.0, nu)
+        lam_h, duals_h = max_shift_within_highs(c0, c1, _NS3, 1.0, 10.0)
+        lam_h = min(lam_h, 1.0)  # no constant above 1 is certifiable
+        assert abs(lam - lam_h) <= 1e-15
+        bounds = []
+        for t, d in ((lam, duals), (lam_h, duals_h)):
+            num, den = _expected_factor_objective(table, t, nu)
+            bounds.append(_dual_bound(num, _NS3, d, den))
+        assert bounds[0] <= bounds[1], f"fit {k}"
+        bound, _, _ = certify(table, lam, nu)
+        x_h, _ = max_linear_highs(_float_objective(table, lam, nu), _NS3)
+        assert abs(bound - _float_objective(table, lam, nu) @ x_h) <= 1e-12
+
+
+def test_unity_factor_scale_at_skewed_weights():
+    # HiGHS's signaling-row duals give 1.000000000000003 (13 ulp) here.
+    tf = certified_factor(np.ones((2, 2, 2, 2)), 1.0, _NU_PAST_ONE)
+    assert tf.scale <= 1.0000000000000007  # 1 + 3 ulp
+
+
+@given(
+    xi=st.sampled_from([0.0, 0.002, 0.05]),
+    cells=st.lists(st.integers(0, 16), min_size=1, max_size=4, unique=True),
+    excess=st.floats(1e-9, 0.5),
+)
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_factors_raised_past_their_margin_are_rejected(golden_factor, xi, cells, excess):
+    """Raise the values that the certify LP's maximizing behavior weights
+    (matched cells 0-15, or 16 for the mismatch constant) so that its
+    expectation grows by cert_margin + excess: the true maximum then
+    exceeds 1, and loading the factor with its stored certificate fails."""
+    tf = scale_for_fixed_entanglement(golden_factor, xi)
+    _, mu, _ = certify(tf.matched, tf.mismatch, tf.nu)
+    weight = np.zeros(17)
+    for ma, b, oa, za, zb in product(range(2), repeat=5):
+        cell = 8 * ma + 4 * b + 2 * oa + za if za == zb else 16
+        weight[cell] += tf.nu[ma, b] * mu[ma, b, b, oa, za, zb]
+    cells = [k for k in cells if weight[k] > 1e-6]
+    assume(cells)
+    step = (tf.cert_margin + excess) / weight[cells].sum()
+    payload = json.loads(factor_to_json(tf))
+    matched = np.reshape(payload["matched"], 16)
+    matched[[k for k in cells if k < 16]] += step
+    payload["matched"] = matched.reshape(2, 2, 2, 2).tolist()
+    payload["mismatch"] += step * (16 in cells)
+    with pytest.raises(CertificationError):
+        factor_from_json(json.dumps(payload))
