@@ -31,8 +31,8 @@ from .estimation import ml_fit_quantum
 from .geometry import (
     TimingGeometry,
     classical_sizes,
-    quantum_advantage,
-    region_size,
+    quantum_advantages,
+    region_sizes,
     region_spec,
 )
 from .polytopes import chsh_values
@@ -55,8 +55,9 @@ from .simulator import (
     stream_key,
 )
 from .testfactor import gain_variance, testfactor_to_json
-# Unused here since calibrate() took over; kept bound because the
-# benchmark's tracer (perfbench/spans.py) patches these names in this module.
+# Unused here since calibrate() and quantum_advantages() took over; kept bound
+# because the benchmark's tracer (perfbench/spans.py) patches these names here.
+from .geometry import quantum_advantage, region_size  # noqa: F401
 from .testfactor import build_wlr, lambda_max  # noqa: F401
 from .trialdata import (
     CountsTable,
@@ -370,38 +371,28 @@ def cmd_geometry(args) -> int:
     dims = (1, 2, 3) if args.dim == "all" else (int(args.dim),)
     os.makedirs(args.out, exist_ok=True)
 
-    sizes: dict[str, dict] = {}
-    advantage: dict[str, dict] = {}
-    for dim in dims:
-        measured = {name: region_size(name, spec, dim)[0]
-                    for name in ("quantum", "lens_a", "lens_b")}
+    results = quantum_advantages(tg, dims, mc_outer=args.mc_outer, seed=args.seed)
+    sizes, advantage = {}, {}
+    for dim, measured in region_sizes(spec, dims).items():
         classical = classical_sizes(dim, *measured.values(), spec.d_sep)
         sizes[f"{dim}d"] = {
             **{name: [size, 0.0] for name, size in measured.items()},
             **{f"classical_{name}": [size, 0.0] for name, size in classical.items()},
             "quantum_degenerate": measured["quantum"] == 0.0,
         }
-        try:
-            results = quantum_advantage(tg, dim, mc_outer=args.mc_outer, seed=args.seed)
-            note = "ideal classical region has zero size above 1D"
-        except EmptyRegionError as exc:
-            results = dict.fromkeys(("ideal", "comparable"))
-            note = f"empty quantum region: {exc}"
+        found, note = results[dim], "ideal classical region has zero size above 1D"
+        if isinstance(found, EmptyRegionError):
+            found, note = dict.fromkeys(("ideal", "comparable")), f"empty quantum region: {found}"
         advantage[f"{dim}d"] = {}
-        for comparator, res in results.items():
-            entry: dict = {"comparator": comparator}
+        for comparator, res in found.items():
+            advantage[f"{dim}d"][comparator] = entry = {"comparator": comparator}
             if res is None or res.degenerate:
                 entry.update({"ratio": None, "sigma": None, "degenerate": True, "note": note})
             else:
-                entry.update({
-                    "ratio": res.ratio, "sigma": res.sigma, "degenerate": False,
-                    "empty_fraction": res.empty_fraction,
-                })
-                _write_hist_csv(
-                    os.path.join(args.out, f"hist_advantage_{dim}d_{comparator}.csv"),
-                    res.samples,
-                )
-            advantage[f"{dim}d"][comparator] = entry
+                entry.update({"ratio": res.ratio, "sigma": res.sigma, "degenerate": False,
+                              "empty_fraction": res.empty_fraction})
+                _write_hist_csv(os.path.join(args.out, f"hist_advantage_{dim}d_{comparator}.csv"),
+                                res.samples)
 
     report = _provenance(args)
     report["region_lengths_m"] = asdict(spec)

@@ -38,6 +38,7 @@ import numpy as np
 from .errors import EmptyRegionError
 
 SPEED_OF_LIGHT_M_PER_NS = 0.299792458
+REGIONS = ("quantum", "lens_a", "lens_b")
 
 
 @dataclass(frozen=True)
@@ -122,14 +123,15 @@ def _antiderivative_2d(u, r):
     return u * np.sqrt(np.maximum(r * r - u * u, 0.0)) + r * r * np.arcsin(ratio)
 
 
-def _measure(region: str, dim: int, ra, rb, s_ab, s_ba, d=1.0):
-    """Axis support (lo, hi) and exact size of a region for arrays of draws.
+def _measure(region: str, dims, ra, rb, s_ab, s_ba, d=1.0):
+    """Axis support (lo, hi) and exact sizes {dim: size}, length included, for arrays of draws.
 
     lo > hi where the region misses the station axis, and its size is 0.
     The cross-section at x is |rho| <= sqrt(min_i f_i(x)) with each f_i a
     quadratic (see _chords), so between consecutive breakpoints (the
     support ends and every pairwise crossing of the f_i) one constraint is
-    active and the length, area or volume integrates in closed form.
+    active and the area or volume integrates in closed form.  Every dim in
+    dims above 1 shares the breakpoints; only the integrands differ.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         k, r, x0 = _chords(region, ra, rb, s_ab, s_ba, d)
@@ -138,8 +140,9 @@ def _measure(region: str, dim: int, ra, rb, s_ab, s_ba, d=1.0):
         hi = np.where(reach, x0 + r, -np.inf).min(axis=0)
         empty = ~(lo <= hi)
         a, b = np.where(empty, 0.0, lo), np.where(empty, 0.0, hi)
-        if dim == 1:
-            return lo, hi, b - a
+        sizes = {1: b - a}
+        if max(dims) == 1:
+            return lo, hi, sizes
         k = np.where(empty, 0.0, k)
         points = [a, b]
         for i in range(len(k)):
@@ -156,28 +159,31 @@ def _measure(region: str, dim: int, ra, rb, s_ab, s_ba, d=1.0):
     active = (k[:, None] * (r[:, None] ** 2 - (mid - x0[:, None]) ** 2)).argmin(axis=0)
     kk, rr, cc = (np.take_along_axis(v[:, None], active[None], 0)[0] for v in (k, r, x0))
     ul, ur = x[:-1] - cc, x[1:] - cc
-    if dim == 2:
-        parts = np.sqrt(kk) * (_antiderivative_2d(ur, rr) - _antiderivative_2d(ul, rr))
-    else:
-        parts = math.pi * kk * (ur - ul) * (rr * rr - (ur * ur + ur * ul + ul * ul) / 3.0)
-    return lo, hi, parts.sum(axis=0)
+    if 2 in dims:
+        sizes[2] = (np.sqrt(kk) * (_antiderivative_2d(ur, rr) - _antiderivative_2d(ul, rr))).sum(0)
+    if 3 in dims:
+        shell = rr * rr - (ur * ur + ur * ul + ul * ul) / 3.0
+        sizes[3] = (math.pi * kk * (ur - ul) * shell).sum(0)
+    return lo, hi, sizes
 
 
-def _spec_measure(region: str, spec: RegionSpec, dim: int):
-    lo, hi, size = _measure(region, dim, spec.radius_a, spec.radius_b,
-                            spec.ellipse_ab, spec.ellipse_ba, np.array([spec.d_sep]))
-    return float(lo[0]), float(hi[0]), float(size[0])
+def _spec_measure(region: str, spec: RegionSpec, dims=(1,)):
+    lo, hi, sizes = _measure(region, dims, spec.radius_a, spec.radius_b,
+                             spec.ellipse_ab, spec.ellipse_ba, np.array([spec.d_sep]))
+    return float(lo[0]), float(hi[0]), {dim: float(size[0]) for dim, size in sizes.items()}
 
 
 def axis_interval(region: str, spec: RegionSpec) -> tuple[float, float]:
-    """Closed-form intersection of a region with the station axis.
+    """Closed-form intersection (lo, hi) of "quantum", "lens_a" or "lens_b"
+    with the station axis: empty when lo > hi, and (inf, -inf) when a sum
+    cap below the station separation makes the region empty."""
+    return _spec_measure(region, spec)[:2]
 
-    Returns (lo, hi); empty when lo > hi, and (inf, -inf) when a sum cap
-    below the station separation makes the region empty.  region is one
-    of "quantum", "lens_a", "lens_b".
-    """
-    lo, hi, _ = _spec_measure(region, spec, 1)
-    return lo, hi
+
+def region_sizes(spec: RegionSpec, dims=(1, 2, 3)) -> dict[int, dict[str, float]]:
+    """Exact sizes {dim: {region: size}} of the REGIONS at the central values."""
+    measured = [_spec_measure(name, spec, dims)[2] for name in REGIONS]
+    return {dim: {name: m[dim] for name, m in zip(REGIONS, measured)} for dim in dims}
 
 
 def classical_sizes(dim: int, quantum, lens_a, lens_b, d) -> dict:
@@ -195,19 +201,14 @@ def classical_sizes(dim: int, quantum, lens_a, lens_b, d) -> dict:
 
 
 def region_size(region: str, spec: RegionSpec, dim: int) -> tuple[float, float]:
-    """Exact size (length/area/volume) of a region, as (size, 0.0).
-
-    region is "quantum", "lens_a", "lens_b" or "classical" (the lens
-    union).  The second entry is the size's error, kept for the report's
-    [size, err] pairs; it is always 0.
-    """
+    """Exact size (length/area/volume) of "quantum", "lens_a", "lens_b" or
+    "classical" (the lens union), as (size, error) with the error always 0."""
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2, or 3")
     if region == "classical":
-        q, a, b = (_spec_measure(name, spec, dim)[2]
-                   for name in ("quantum", "lens_a", "lens_b"))
-        return classical_sizes(dim, q, a, b, spec.d_sep)["union"], 0.0
-    return _spec_measure(region, spec, dim)[2], 0.0
+        sizes = region_sizes(spec, (dim,))[dim].values()
+        return classical_sizes(dim, *sizes, spec.d_sep)["union"], 0.0
+    return _spec_measure(region, spec, (dim,))[2][dim], 0.0
 
 
 @dataclass(frozen=True)
@@ -233,55 +234,62 @@ def _draw_parameters(tg: TimingGeometry, n: int, seed: int):
     return (*_region_lengths(s_vap, s_vb, r_vap, r_vb), d)
 
 
-def quantum_advantage(
-    tg: TimingGeometry,
-    dim: int,
-    mc_outer: int = 100_000,
-    seed: int = 1,
-) -> dict[str, AdvantageResult]:
+def quantum_advantages(tg: TimingGeometry, dims=(1, 2, 3), mc_outer: int = 100_000,
+                       seed: int = 1) -> dict[int, dict[str, AdvantageResult] | EmptyRegionError]:
     """Ratios of classical to quantum target-region size under uncertainty.
 
-    Draws mc_outer Gaussian parameter sets, sizes the regions of each draw
-    exactly in separation-scaled coordinates, and returns {"ideal": ...,
-    "comparable": ...}: for each classical comparator of classical_sizes,
-    the mean ratio with its standard deviation across draws.  A comparator
-    of zero size (ideal above 1D) gives a degenerate result.  Aborts when
-    more than 1% of draws, or all of them, give an empty quantum region.
+    Draws mc_outer Gaussian parameter sets once, sizes each region of each
+    draw exactly in every dim of dims from one pass (in separation-scaled
+    coordinates), and returns {dim: {"ideal": ..., "comparable": ...}}: per
+    classical comparator of classical_sizes, the mean of the per-draw ratios
+    and their standard deviation; a comparator of zero size (ideal above 1D)
+    is degenerate.  A dim without ratios maps to the EmptyRegionError saying
+    why: a separation draw crossed zero, over 1% of draws give an empty
+    quantum region, or none gives one of positive size in that dim.
     """
-    if dim not in (1, 2, 3):
+    if not dims or not set(dims) <= {1, 2, 3}:
         raise ValueError("dim must be 1, 2, or 3")
     if mc_outer < 1:
         raise ValueError("mc_outer must be at least 1")
     ra, rb, m_ab, m_ba, d = _draw_parameters(tg, mc_outer, seed)
     if (d <= 0).any():
-        raise EmptyRegionError("separation draw crossed zero; uncertainties too large")
+        return dict.fromkeys(dims, EmptyRegionError(
+            "separation draw crossed zero; uncertainties too large"))
     # Separation-scaled parameters; the ratio is scale invariant.
     scaled = (ra / d, rb / d, m_ab / d, m_ba / d)
-    lo, hi, q_size = _measure("quantum", 1, *scaled)
+    lo, hi, quantum = _measure("quantum", dims, *scaled)
     empty = lo > hi
     empty_fraction = float(empty.mean())
     if empty_fraction > 0.01:
-        raise EmptyRegionError(
-            f"{empty_fraction:.1%} of parameter draws give an empty quantum region"
-        )
-    if dim > 1:
-        q_size = _measure("quantum", dim, *scaled)[2]
-    ok = ~empty & (q_size > 0)
-    if not ok.any():
-        raise EmptyRegionError("no parameter draw produced a nonempty quantum region")
-    lens_a, lens_b = (_measure(name, dim, *scaled)[2] for name in ("lens_a", "lens_b"))
-    sizes = classical_sizes(dim, q_size, lens_a, lens_b, 1.0)
+        return dict.fromkeys(dims, EmptyRegionError(
+            f"{empty_fraction:.1%} of parameter draws give an empty quantum region"))
+    lens_a, lens_b = (_measure(name, dims, *scaled)[2] for name in REGIONS[1:])
+    out = {}
+    for dim in dims:
+        q_size = quantum[dim]
+        ok = ~empty & (q_size > 0)
+        if not ok.any():
+            out[dim] = EmptyRegionError("no parameter draw produced a nonempty quantum region")
+            continue
+        sizes = classical_sizes(dim, q_size, lens_a[dim], lens_b[dim], 1.0)
+        out[dim] = {}
+        for comparator in ("ideal", "comparable"):
+            classical = sizes[comparator]
+            degenerate = not np.any(classical)
+            ratios = (np.array([]) if degenerate
+                      else np.broadcast_to(classical, q_size.shape)[ok] / q_size[ok])
+            out[dim][comparator] = AdvantageResult(
+                ratio=math.inf if degenerate else float(ratios.mean()),
+                sigma=math.nan if degenerate else float(ratios.std()), dim=dim,
+                comparator=comparator, empty_fraction=empty_fraction,
+                degenerate=degenerate, samples=ratios)
+    return out
 
-    results = {}
-    for comparator in ("ideal", "comparable"):
-        classical = sizes[comparator]
-        degenerate = not np.any(classical)
-        ratios = (np.array([]) if degenerate
-                  else np.broadcast_to(classical, q_size.shape)[ok] / q_size[ok])
-        results[comparator] = AdvantageResult(
-            ratio=math.inf if degenerate else float(ratios.mean()),
-            sigma=math.nan if degenerate else float(ratios.std()),
-            dim=dim, comparator=comparator, empty_fraction=empty_fraction,
-            degenerate=degenerate, samples=ratios,
-        )
-    return results
+
+def quantum_advantage(tg: TimingGeometry, dim: int, mc_outer: int = 100_000,
+                      seed: int = 1) -> dict[str, AdvantageResult]:
+    """quantum_advantages for one dim; raises its EmptyRegionError instead of returning it."""
+    result = quantum_advantages(tg, (dim,), mc_outer, seed)[dim]
+    if isinstance(result, EmptyRegionError):
+        raise result
+    return result

@@ -679,15 +679,50 @@ def test_geometry_seeded_report(tmp_path):
         assert adv[dim]["ideal"]["ratio"] is None
 
 
-def test_geometry_draws_once_per_dim(tmp_path, monkeypatch):
-    advantage = _count_calls(monkeypatch, "diqpv.geometry", "quantum_advantage")
+# sha256 of the outputs of `geometry --dim all --seed 7 --mc-outer 20000`:
+# every histogram CSV, and report.json with config.out replaced by "OUT".
+# Computed with the per-dimension sizer (one draw and one sizing pass per
+# dimension) before sizing moved to one pass for every dimension; they pin
+# the report and histograms a seeded run writes, bit for bit.
+_PINNED_GEOMETRY = {
+    "hist_advantage_1d_comparable.csv":
+        "d51b53d076cc2851e6d37d136deb76e6070be94810a8603b65bda69f26b7736c",
+    "hist_advantage_1d_ideal.csv":
+        "5c994357ffda56b0445176601d983c9e9e1440937704e32845b44a82c92b5a11",
+    "hist_advantage_2d_comparable.csv":
+        "98f62dc1fe2861432143f24b4cf1a39dfc7de251108f40d129387753faedafc9",
+    "hist_advantage_3d_comparable.csv":
+        "2c6007f65a8b8119f53f1a4c5bc2a3a28330d6cafec0ed437b16d008a0dc4b1a",
+    "report.json": "8c08bd539580da32fa8143d202237fe124f13af7cdb2439e2163dabbdf33e629",
+}
+
+
+def test_geometry_outputs_match_pinned_digests(tmp_path):
+    out = tmp_path / "geo"
+    assert main(["geometry", "--out", str(out), "--dim", "all", "--seed", "7",
+                 "--mc-outer", "20000"]) == 0
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(files) == sorted(_PINNED_GEOMETRY)
+    raw = files["report.json"]
+    assert json.loads(raw)["config"]["out"] == str(out)
+    files["report.json"] = raw.replace(json.dumps(str(out)).encode(), b'"OUT"')
+    for name, digest in _PINNED_GEOMETRY.items():
+        assert hashlib.sha256(files[name]).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("dim, area_calls", [("all", 12), ("1", 0), ("3", 0)],
+                         ids=["all", "1", "3"])
+def test_geometry_draws_once_for_every_dim(tmp_path, monkeypatch, dim, area_calls):
     draws = _count_calls(monkeypatch, "diqpv.geometry", "_draw_parameters")
-    sizes = _count_calls(monkeypatch, "diqpv.geometry", "region_size")
-    assert main(["geometry", "--out", str(tmp_path / "geo"), "--dim", "all",
+    passes = _count_calls(monkeypatch, "diqpv.geometry", "_measure")
+    areas = _count_calls(monkeypatch, "diqpv.geometry", "_antiderivative_2d")
+    assert main(["geometry", "--out", str(tmp_path / "geo"), "--dim", dim,
                  "--mc-outer", "500"]) == 0
-    assert len(advantage) == 3
-    assert len(draws) == 3
-    assert len(sizes) == 9
+    # One sizing pass per region over the draws and one at the central
+    # values; each 2D pass integrates both ends of every segment once.
+    assert len(draws) == 1
+    assert len(passes) == 6
+    assert len(areas) == area_calls
 
 
 def test_geometry_zero_area_quantum_region_above_1d(tmp_path):

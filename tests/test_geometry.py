@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diqpv.errors import EmptyRegionError
 from diqpv.geometry import (
+    REGIONS,
     SPEED_OF_LIGHT_M_PER_NS,
     RegionSpec,
     TimingGeometry,
     axis_interval,
     classical_sizes,
+    _measure,
     quantum_advantage,
+    quantum_advantages,
     region_size,
+    region_sizes,
     region_spec,
 )
 from diqpv.reference import timing_geometry
@@ -23,6 +27,7 @@ from oracles import (
     axis_scan,
     classical_lengths_ok,
     direct_3d_volume,
+    measure_per_dim,
     point_in_classical_region,
     point_in_quantum_region,
     quantum_lengths_ok,
@@ -269,6 +274,60 @@ def test_region_size_matches_monte_carlo_oracle():
                 assert abs(size - oracle) <= 4.0 * oerr, (spec, region, dim, size, oracle)
 
 
+def _bits(values):
+    """dtype, shape and bytes: equal only for bit-identical arrays (-0.0 != 0.0)."""
+    values = np.asarray(values)
+    return values.dtype, values.shape, values.tobytes()
+
+
+# Lengths as small integers make ties (cap == d, tangent disks) common.
+_LENGTH = st.one_of(st.integers(0, 12).map(float),
+                    st.floats(0.0, 12.0, allow_subnormal=False))
+_SEPARATION = st.one_of(st.integers(1, 6).map(float), st.floats(0.5, 6.0))
+
+
+@given(draws=st.lists(st.tuples(_LENGTH, _LENGTH, _LENGTH, _LENGTH, _SEPARATION),
+                      min_size=1, max_size=30),
+       scaled=st.booleans(), dims=st.sampled_from([(1,), (2,), (3,), (2, 3), (1, 2, 3)]))
+# Hollow: both sum caps below the separation, though the disks overlap.
+@example(draws=[(100.0, 100.0, 10.0, 10.0, 50.0)], scaled=False, dims=(1, 2, 3))
+# One sum cap below the separation: the quantum region and one lens are empty.
+@example(draws=[(2.0, 2.0, 0.5, 3.0, 1.0), (2.0, 2.0, 3.0, 0.5, 1.0)], scaled=True,
+         dims=(1, 2, 3))
+# Cap == separation: the quantum region is a segment of zero area.
+@example(draws=[(80.0, 70.0, 100.0, 100.0, 100.0)], scaled=False, dims=(1, 2, 3))
+# A single draw of the reference geometry.
+@example(draws=[(157.28611309, 116.70920391, 274.81974625, 273.17088773, 195.1)],
+         scaled=True, dims=(2,))
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_one_pass_sizer_matches_per_dim_oracle(draws, scaled, dims):
+    ra, rb, s_ab, s_ba, d = np.array(draws).T
+    # As quantum_advantages (separation-scaled, d = 1) and region_sizes call it.
+    args = (ra / d, rb / d, s_ab / d, s_ba / d, 1.0) if scaled else (ra, rb, s_ab, s_ba, d)
+    for region in REGIONS:
+        lo, hi, sizes = _measure(region, dims, *args)
+        assert set(sizes) == {1, *dims}
+        for dim in sizes:
+            o_lo, o_hi, o_size = measure_per_dim(region, dim, *args)
+            assert _bits(lo) == _bits(o_lo) and _bits(hi) == _bits(o_hi)
+            assert _bits(sizes[dim]) == _bits(o_size), (region, dim)
+
+
+def test_central_sizes_match_per_dim_oracle():
+    for spec in _oracle_specs():
+        args = (spec.radius_a, spec.radius_b, spec.ellipse_ab, spec.ellipse_ba,
+                np.array([spec.d_sep]))
+        sizes = region_sizes(spec)
+        assert list(sizes) == [1, 2, 3]
+        for region in REGIONS:
+            o_lo, o_hi, _ = measure_per_dim(region, 1, *args)
+            assert axis_interval(region, spec) == (float(o_lo[0]), float(o_hi[0]))
+            for dim in (1, 2, 3):
+                expect = float(measure_per_dim(region, dim, *args)[2][0])
+                assert sizes[dim][region].hex() == expect.hex()
+                assert region_size(region, spec, dim)[0].hex() == expect.hex()
+
+
 def test_region_size_validation(spec):
     with pytest.raises(ValueError):
         region_size("quantum", spec, 4)
@@ -349,6 +408,43 @@ def test_quantum_advantage_ideal_degenerate_above_1d(tg):
         assert res.degenerate
         assert res.ratio == math.inf
         assert res.samples.size == 0
+
+
+def test_quantum_advantages_draws_once_for_every_dim(tg):
+    shared = quantum_advantages(tg, (1, 2, 3), mc_outer=2_000, seed=4)
+    assert list(shared) == [1, 2, 3]
+    for dim in (1, 2, 3):
+        alone = quantum_advantage(tg, dim, mc_outer=2_000, seed=4)
+        for comparator in ("ideal", "comparable"):
+            a, b = shared[dim][comparator], alone[comparator]
+            assert _bits(a.samples) == _bits(b.samples)
+            assert (a.dim, a.comparator, a.degenerate) == (b.dim, b.comparator, b.degenerate)
+            assert a.ratio == b.ratio and a.empty_fraction == b.empty_fraction
+            assert a.sigma == b.sigma or (math.isnan(a.sigma) and math.isnan(b.sigma))
+    assert list(quantum_advantages(tg, (3, 1), mc_outer=50, seed=4)) == [3, 1]
+    with pytest.raises(ValueError):
+        quantum_advantages(tg, ())
+    with pytest.raises(ValueError):
+        quantum_advantages(tg, (1, 4))
+
+
+def test_quantum_advantages_report_empty_regions_per_dim():
+    # A sum cap equal to the separation: a segment of zero area and volume.
+    flat = TimingGeometry(s_vap_ns=2000.0, s_vb_ns=0.0, r_vap_ns=4000.0, r_vb_ns=3000.0,
+                          d_sep_m=SPEED_OF_LIGHT_M_PER_NS * 1000.0)
+    res = quantum_advantages(flat, (1, 2, 3), mc_outer=20)
+    assert res[1]["ideal"].ratio == pytest.approx(1.0, rel=1e-12)
+    for dim in (2, 3):
+        assert isinstance(res[dim], EmptyRegionError)
+        assert str(res[dim]) == "no parameter draw produced a nonempty quantum region"
+        with pytest.raises(EmptyRegionError, match="no parameter draw"):
+            quantum_advantage(flat, dim, mc_outer=20)
+    # Run-wide failures leave every dim without ratios.
+    marginal = TimingGeometry(s_vap_ns=1000.0, s_vb_ns=1000.0, r_vap_ns=1000.1,
+                              r_vb_ns=2000.0, d_sep_m=50.0, r_vap_sigma_ns=0.5)
+    res = quantum_advantages(marginal, (1, 3), mc_outer=5_000)
+    assert list(res) == [1, 3] and res[1] is res[3]
+    assert "of parameter draws give an empty quantum region" in str(res[1])
 
 
 def test_quantum_advantage_empty_aborts():
