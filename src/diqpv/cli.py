@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict
 
 import numpy as np
@@ -212,20 +211,15 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     def write_one(i: int) -> dict:
-        codes = sample_trials(sigma3, nu, args.trials_per_file, stream_key(args.seed, i))
+        # A function, so that one file's codes are freed before the next's
+        # are drawn.
+        codes = sample_trials(sigma3, nu, args.trials_per_file, stream_key(args.seed, i),
+                              workers=args.threads)
         name = f"trials-{i:04d}.qpvt"
         write_trials(os.path.join(args.out, name), codes, detector_error=i in error_files)
         return {"file": name, "trials": int(codes.size), "detector_error": i in error_files}
 
-    # One worker runs here, not in a one-worker pool: glibc gives a worker
-    # thread its own malloc arena, which keeps the last file's payload
-    # resident after the pool closes (perfbench run-realsize peak RSS on a
-    # 2-core Linux host: 116 MB through a pool, 100 MB here).
-    if args.threads and args.threads > 1 and n_files > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            entries = list(pool.map(write_one, range(n_files)))
-    else:
-        entries = [write_one(i) for i in range(n_files)]
+    entries = [write_one(i) for i in range(n_files)]
     manifest = _provenance(args, {"model": model_spec})
     manifest["files"] = entries
     _write_json(os.path.join(args.out, "manifest.json"), manifest)
@@ -470,7 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--error-files", default="",
                    help="comma-separated indices flagged as detector-error files")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="workers that sample each file (default: the CPUs this "
+                        "process may use); the files are identical for any value")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="segment a run directory into scored instances")

@@ -155,15 +155,17 @@ def _measure(region: str, dims, ra, rb, s_ab, s_ba, d=1.0):
                 points += [q / qa, qc / q]
         x = np.clip(np.array(points), a, b)
         x = np.sort(np.where(np.isnan(x), a, x), axis=0)
-    mid = 0.5 * (x[1:] + x[:-1])
-    active = (k[:, None] * (r[:, None] ** 2 - (mid - x0[:, None]) ** 2)).argmin(axis=0)
-    kk, rr, cc = (np.take_along_axis(v[:, None], active[None], 0)[0] for v in (k, r, x0))
-    ul, ur = x[:-1] - cc, x[1:] - cc
-    if 2 in dims:
-        sizes[2] = (np.sqrt(kk) * (_antiderivative_2d(ur, rr) - _antiderivative_2d(ul, rr))).sum(0)
-    if 3 in dims:
-        shell = rr * rr - (ur * ur + ur * ul + ul * ul) / 3.0
-        sizes[3] = (math.pi * kk * (ur - ul) * shell).sum(0)
+        mid = 0.5 * (x[1:] + x[:-1])
+        active = (k[:, None] * (r[:, None] ** 2 - (mid - x0[:, None]) ** 2)).argmin(axis=0)
+        kk, rr, cc = (np.take_along_axis(v[:, None], active[None], 0)[0] for v in (k, r, x0))
+        ul, ur = x[:-1] - cc, x[1:] - cc
+        # A subnormal radius overflows u / r in _antiderivative_2d; the
+        # clipped ratio is still right.
+        if 2 in dims:
+            sizes[2] = (np.sqrt(kk) * (_antiderivative_2d(ur, rr) - _antiderivative_2d(ul, rr))).sum(0)
+        if 3 in dims:
+            shell = rr * rr - (ur * ur + ur * ul + ul * ul) / 3.0
+            sizes[3] = (math.pi * kk * (ur - ul) * shell).sum(0)
     return lo, hi, sizes
 
 

@@ -12,12 +12,20 @@ Sampling is counter-based (Philox): a trial's code counts the CDF entries
 c_i <= (w >> 11) 2^-53, the float Generator.random makes from the trial's
 raw 64-bit word w.  The test runs in integers, as w >> 11 >= ceil(c_i 2^53),
 mostly through a table on the top bits of w, so a given key reproduces the
-identical byte stream on any platform.
+identical byte stream on any platform.  Trial t takes word t of the key's
+stream, and Philox makes words 4 per counter step, so a chunk of trials
+that starts at a multiple of 4 is drawn from its own counter range
+(Philox.advance) on any thread; the bytes do not depend on how the
+trials are split among threads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +49,11 @@ DEFAULT_DARK_COUNT = 1e-7
 DEFAULT_PAIR_PROB = 1.0 / 350.0
 DEFAULT_MISMATCH = 2e-6
 
-# Raw Philox words per sample_trials chunk (512 KB of uint64).
+# Draws in flight per sample_trials call, shared out among its workers
+# (at most 17 bytes of work buffers per draw).
 _DRAWS_PER_CHUNK = 1 << 16
+# Raw words per Philox counter step; worker ranges start on a step.
+_WORDS_PER_STEP = 4
 # Leading bits of a raw word that index the bucket table; a bucket split
 # by a CDF threshold holds the sentinel _SPLIT (codes are at most 31).
 _BUCKET_BITS = 12
@@ -174,43 +185,112 @@ def _matched_to_full(sigma2: np.ndarray) -> ConditionalDistribution3:
     return ConditionalDistribution3(full)
 
 
-def sample_trials(sigma3: ConditionalDistribution3, nu, count: int, key: int) -> np.ndarray:
+def sample_trials(sigma3: ConditionalDistribution3, nu, count: int, key: int,
+                  workers: int | None = None) -> np.ndarray:
     """Draw count i.i.d. trials as packed uint8 codes.
 
-    Settings follow nu jointly with the behavior's outcomes.  Each trial
-    takes one raw word w of a Philox counter keyed with key, and its code
-    is searchsorted(cdf, u, side="right") for the float u = (w >> 11) 2^-53
+    Settings follow nu jointly with the behavior's outcomes.  Trial t takes
+    raw word t of a Philox counter keyed with key, and its code is
+    searchsorted(cdf, u, side="right") for the float u = (w >> 11) 2^-53
     that Generator.random makes from w.  Scaling by 2^53 is exact, so
-    cdf_i <= u exactly when w >> 11 >= ceil(cdf_i 2^53), and the codes are
-    counted against these integer thresholds: a table on the top
-    _BUCKET_BITS bits of w gives the code of every bucket that no threshold
-    splits, and only draws in the (at most 31) split buckets are searched.
-    The CDF is made nondecreasing (np.maximum.accumulate), so a cell with
-    a tiny negative probability is never drawn and each code depends on
-    its own word only; where every cell probability is >= 0 this changes
+    cdf_i <= u exactly when w >> 11 >= thr_i = ceil(cdf_i 2^53), and the
+    codes are counted against these integer thresholds: a table on the top
+    _BUCKET_BITS bits of w, the integer part of v = u 2^_BUCKET_BITS, gives
+    the code of every bucket that no threshold splits, and only draws in
+    the (at most 31) split buckets are searched, v against
+    thr_i 2^(_BUCKET_BITS - 53); both scalings are exact, as thr_i <= 2^53.
+    The CDF is made nondecreasing (np.maximum.accumulate), so a cell with a
+    tiny negative probability is never drawn and each code depends on its
+    own word only; where every cell probability is >= 0 this changes
     nothing, and the stream is byte-identical to that float lookup, for a
     given key on any platform.
+
+    [0, count) is cut into chunks of _DRAWS_PER_CHUNK // workers draws
+    (workers=None: the CPUs this process may run on), a multiple of the 4
+    words of a Philox counter step, and each of min(workers, chunks)
+    threads claims the next unclaimed chunk until none is left, drawing the
+    chunk from pos with its Philox advanced to pos // 4 and writing its own
+    slice of the result; so the bytes are the same for every worker count,
+    and a thread slowed by other load claims fewer chunks.  The calling
+    thread draws raw words (random_raw), whose allocations land in the
+    main malloc arena that later calls reuse; pool threads draw through
+    Generator.random into buffers allocated here, since a pool thread's
+    own arena would keep its allocations resident.  The work buffers hold
+    _DRAWS_PER_CHUNK draws in all.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if workers is None:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    elif workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     probs = cell_probabilities(sigma3, settings_weights(nu)).reshape(32)
     cdf = np.maximum.accumulate(np.cumsum(probs))
     cdf[-1] = 1.0
     thr = np.ceil(cdf * 2.0**53).astype(np.uint64)
+    thr_v = thr * 2.0 ** (_BUCKET_BITS - 53)
     # Bucket b holds the words whose top bits are b: w >> 11 runs over
     # [b << width, (b + 1) << width).
     width = 53 - _BUCKET_BITS
     lo = np.arange(1 << _BUCKET_BITS, dtype=np.uint64)[:, None] << width
     split = ((lo < thr) & (thr < lo + (1 << width))).any(axis=1)
     table = np.where(split, _SPLIT, (thr <= lo).sum(axis=1)).astype(np.uint8)
-    bitgen = np.random.Philox(key=key)
     out = np.empty(count, dtype=np.uint8)
-    for pos in range(0, count, _DRAWS_PER_CHUNK):
-        raw = bitgen.random_raw(min(_DRAWS_PER_CHUNK, count - pos))
-        codes = out[pos : pos + raw.size]
-        np.take(table, raw >> (64 - _BUCKET_BITS), out=codes)
-        amb = np.flatnonzero(codes == _SPLIT)
-        codes[amb] = np.searchsorted(thr, raw[amb] >> 11, side="right")
+    chunk = max(_WORDS_PER_STEP, _DRAWS_PER_CHUNK // workers // _WORDS_PER_STEP * _WORDS_PER_STEP)
+    chunks = -(-count // chunk)
+    claims = itertools.count()
+    claim_lock = threading.Lock()
+
+    def claimed(bitgen):
+        """(pos, n) of each chunk this thread claims, bitgen advanced to pos."""
+        drawn = 0
+        while True:
+            with claim_lock:
+                c = next(claims)
+            if c >= chunks:
+                return
+            pos = c * chunk
+            bitgen.advance((pos - drawn) // _WORDS_PER_STEP)
+            n = min(chunk, count - pos)
+            drawn = pos + n
+            yield pos, n
+
+    def fill_raw(bucket, mask):
+        bitgen = np.random.Philox(key=key)
+        for pos, n in claimed(bitgen):
+            raw = bitgen.random_raw(n)
+            bn, mn, codes = bucket[:n], mask[:n], out[pos : pos + n]
+            np.right_shift(raw, 64 - _BUCKET_BITS, out=bn.view(np.uint64))
+            np.take(table, bn, out=codes, mode="clip")
+            np.equal(codes, _SPLIT, out=mn)
+            amb = np.flatnonzero(mn)
+            codes[amb] = np.searchsorted(thr, raw[amb] >> 11, side="right")
+            del raw  # before the next chunk's words are drawn
+
+    def fill_float(v, bucket, mask):
+        gen = np.random.Generator(np.random.Philox(key=key))
+        for pos, n in claimed(gen.bit_generator):
+            vn, bn, mn, codes = v[:n], bucket[:n], mask[:n], out[pos : pos + n]
+            # Only into the caller's buffers (take buffers its output in
+            # mode "raise"), so a pool thread allocates no work memory.
+            gen.random(out=vn)
+            np.multiply(vn, float(1 << _BUCKET_BITS), out=vn)
+            np.copyto(bn, vn, casting="unsafe")
+            np.take(table, bn, out=codes, mode="clip")
+            np.equal(codes, _SPLIT, out=mn)
+            amb = np.flatnonzero(mn)
+            codes[amb] = np.searchsorted(thr_v, vn[amb], side="right")
+
+    size = min(chunk, count)
+    pool_buffers = [(np.empty(size), np.empty(size, dtype=np.intp), np.empty(size, dtype=np.bool_))
+                    for _ in range(min(workers, chunks) - 1)]
+    # The pool starts a thread per submitted job only.
+    with ThreadPoolExecutor(max_workers=max(1, len(pool_buffers))) as pool:
+        rest = [pool.submit(fill_float, *buffers) for buffers in pool_buffers]
+        fill_raw(np.empty(size, dtype=np.intp), np.empty(size, dtype=np.bool_))
+        for future in rest:
+            future.result()
     return out
 
 

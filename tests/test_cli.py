@@ -263,6 +263,27 @@ def test_simulate_files_match_pinned_digests(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
+# sha256 of the files of `simulate --files 2 --trials-per-file 200000
+# --error-files 0 --seed 23`, header included, written by the serial
+# sampler before files were split among workers.
+_PINNED_SPLIT_FILES = {
+    "trials-0000.qpvt": "11330ef5837ca566e4715ae67b215c4da10ad84c4806b5a8913977ab3e73fe76",
+    "trials-0001.qpvt": "4205ba5ce61578e5dfa8948a01542c89c6a9fd5e8689edbf02dfdad9926566af",
+}
+
+
+def test_simulate_files_identical_for_any_thread_count(tmp_path):
+    # 200,000 trials span several chunks, so every file is split among the
+    # workers; the default uses every CPU this process may run on.
+    base = ["--files", "2", "--trials-per-file", "200000", "--error-files", "0", "--seed", "23"]
+    for label, flags in (("one", ["--threads", "1"]), ("three", ["--threads", "3"]),
+                         ("default", [])):
+        out = tmp_path / label
+        assert main(["simulate", "--out", str(out)] + base + flags) == 0
+        for name, digest in _PINNED_SPLIT_FILES.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (label, name)
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_simulate_rejects_threads_below_one(tmp_path, capsys, threads):
     out = tmp_path / "run"

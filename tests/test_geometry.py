@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -311,6 +312,28 @@ def test_one_pass_sizer_matches_per_dim_oracle(draws, scaled, dims):
             o_lo, o_hi, o_size = measure_per_dim(region, dim, *args)
             assert _bits(lo) == _bits(o_lo) and _bits(hi) == _bits(o_hi)
             assert _bits(sizes[dim]) == _bits(o_size), (region, dim)
+
+
+# Subnormal lengths overflow the u / r of the 2D integrand.
+_TINY_LENGTH = st.one_of(_LENGTH, st.floats(0.0, 1e-300),
+                         st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308]))
+
+
+@given(draws=st.lists(st.tuples(_TINY_LENGTH, _TINY_LENGTH, _TINY_LENGTH, _TINY_LENGTH,
+                                _SEPARATION), min_size=1, max_size=10))
+@example(draws=[(5e-324, 5e-324, 5e-324, 5e-324, 1.0)])
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_sizer_is_warning_free_on_subnormal_lengths(draws):
+    ra, rb, s_ab, s_ba, d = np.array(draws).T
+    for region in REGIONS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi, sizes = _measure(region, (1, 2, 3), ra, rb, s_ab, s_ba, d)
+        with np.errstate(all="ignore"):
+            for dim in (1, 2, 3):
+                o_lo, o_hi, o_size = measure_per_dim(region, dim, ra, rb, s_ab, s_ba, d)
+                assert _bits(lo) == _bits(o_lo) and _bits(hi) == _bits(o_hi)
+                assert _bits(sizes[dim]) == _bits(o_size), (region, dim)
 
 
 def test_central_sizes_match_per_dim_oracle():

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,6 +298,66 @@ def test_sampler_never_draws_a_cell_below_zero(nu_uniform):
     assert np.array_equal(sample_trials(sigma3, nu_uniform, 65_537, key), long[:65_537])
     assert not (long == code).any()
     assert np.bincount(long, minlength=32).min() == 0
+
+
+_CHUNK = simulator._DRAWS_PER_CHUNK
+# Skewed settings weights for the lr case: the table and split buckets
+# differ from the uniform honest case.
+_SKEWED_NU = [[0.55, 0.05], [0.3, 0.1]]
+
+
+@pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3, 300_001])
+@pytest.mark.parametrize("case", ["honest", "lr-skewed"])
+def test_sampler_is_worker_invariant(nu_uniform, case, count):
+    # Every worker count cuts [0, count) at different Philox counter steps.
+    sigma3, nu = ((_HONEST, nu_uniform) if case == "honest"
+                  else (AdversaryModel.lr_vertex(6).behavior, _SKEWED_NU))
+    key = stream_key(23, count)
+    serial = sample_trials(sigma3, nu, count, key, workers=1)
+    assert serial.shape == (count,)
+    for workers in (2, 3, 4, None):
+        assert np.array_equal(sample_trials(sigma3, nu, count, key, workers=workers), serial)
+
+
+def test_sampler_workers_under_fast_thread_switching(nu_uniform):
+    # More workers than cores, switching threads every microsecond: each
+    # thread still fills only the chunks it claims.
+    key = stream_key(23, 7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        codes = sample_trials(_HONEST, nu_uniform, 300_001, key, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(codes, sample_trials(_HONEST, nu_uniform, 300_001, key, workers=1))
+
+
+def test_sampler_rejects_workers_below_one(nu_uniform):
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            sample_trials(_HONEST, nu_uniform, 10, key=1, workers=workers)
+
+
+# Peak traced bytes beside the result of the serial sampler that drew
+# 2^16 raw words per chunk, measured under pytest as below from that
+# sampler's source (one draw of the same model first, so one-time
+# allocations are not counted).
+_SERIAL_WORK_BYTES = {300_001: 1_684_263, 3_000_000: 1_684_655}
+
+
+@pytest.mark.parametrize("count", sorted(_SERIAL_WORK_BYTES))
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_sampler_work_memory_is_bounded(nu_uniform, workers, count):
+    # The work buffers share _DRAWS_PER_CHUNK draws among the workers, so
+    # more workers need no more work memory.
+    sample_trials(_HONEST, nu_uniform, 1, stream_key(23, 0), workers=workers)
+    tracemalloc.start()
+    try:
+        codes = sample_trials(_HONEST, nu_uniform, count, stream_key(23, 1), workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - codes.nbytes <= _SERIAL_WORK_BYTES[count]
 
 
 def test_stream_key_layout():
