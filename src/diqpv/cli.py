@@ -465,8 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated indices flagged as detector-error files")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--threads", type=int, default=None,
-                   help="workers that sample each file (default: the CPUs this "
-                        "process may use); the files are identical for any value")
+                   help="most threads that sample each file (default: no limit; "
+                        "never more than the CPUs this process may use, nor 4); "
+                        "the files are identical for any value")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="segment a run directory into scored instances")

@@ -49,9 +49,13 @@ DEFAULT_DARK_COUNT = 1e-7
 DEFAULT_PAIR_PROB = 1.0 / 350.0
 DEFAULT_MISMATCH = 2e-6
 
-# Draws in flight per sample_trials call, shared out among its workers
+# Draws in flight per sample_trials call, shared out among its threads
 # (at most 17 bytes of work buffers per draw).
 _DRAWS_PER_CHUNK = 1 << 16
+# Each chunk costs 10-15 us of numpy calls whatever its size (one thread,
+# 15M trials: about +10% time at 2^14 draws per chunk, +25% at 2^13), so
+# chunks keep at least 2^14 draws, which caps the threads.
+_MAX_THREADS = _DRAWS_PER_CHUNK >> 14
 # Raw words per Philox counter step; worker ranges start on a step.
 _WORDS_PER_STEP = 4
 # Leading bits of a raw word that index the bucket table; a bucket split
@@ -205,26 +209,28 @@ def sample_trials(sigma3: ConditionalDistribution3, nu, count: int, key: int,
     nothing, and the stream is byte-identical to that float lookup, for a
     given key on any platform.
 
-    [0, count) is cut into chunks of _DRAWS_PER_CHUNK // workers draws
-    (workers=None: the CPUs this process may run on), a multiple of the 4
-    words of a Philox counter step, and each of min(workers, chunks)
-    threads claims the next unclaimed chunk until none is left, drawing the
-    chunk from pos with its Philox advanced to pos // 4 and writing its own
-    slice of the result; so the bytes are the same for every worker count,
-    and a thread slowed by other load claims fewer chunks.  The calling
-    thread draws raw words (random_raw), whose allocations land in the
-    main malloc arena that later calls reuse; pool threads draw through
-    Generator.random into buffers allocated here, since a pool thread's
-    own arena would keep its allocations resident.  The work buffers hold
-    _DRAWS_PER_CHUNK draws in all.
+    At most workers threads sample (workers=None: no limit of its own),
+    never more than the CPUs this process may run on (threads beyond them
+    only wait for the GIL: 4 threads on 2 cores took 1.5 times as long as
+    2) and never more than _MAX_THREADS.  [0, count) is cut into chunks of
+    _DRAWS_PER_CHUNK // threads draws, a multiple of the 4 words of a
+    Philox counter step, and each of min(threads, chunks) threads claims
+    the next unclaimed chunk until none is left, drawing the chunk from pos
+    with its Philox advanced to pos // 4 and writing its own slice of the
+    result; so the bytes are the same for every thread count, and a thread
+    slowed by other load claims fewer chunks.  The calling thread draws raw
+    words (random_raw), whose allocations land in the main malloc arena
+    that later calls reuse; pool threads draw through Generator.random into
+    buffers allocated here, since a pool thread's own arena would keep its
+    allocations resident.  Generator.random costs about 1.3 times
+    random_raw per word, so the calling thread keeps the raw path.  The
+    work buffers hold _DRAWS_PER_CHUNK draws in all.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if workers is None:
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    elif workers < 1:
+    if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    threads = min(workers or _MAX_THREADS, _MAX_THREADS, _cpus())
     probs = cell_probabilities(sigma3, settings_weights(nu)).reshape(32)
     cdf = np.maximum.accumulate(np.cumsum(probs))
     cdf[-1] = 1.0
@@ -237,7 +243,7 @@ def sample_trials(sigma3: ConditionalDistribution3, nu, count: int, key: int,
     split = ((lo < thr) & (thr < lo + (1 << width))).any(axis=1)
     table = np.where(split, _SPLIT, (thr <= lo).sum(axis=1)).astype(np.uint8)
     out = np.empty(count, dtype=np.uint8)
-    chunk = max(_WORDS_PER_STEP, _DRAWS_PER_CHUNK // workers // _WORDS_PER_STEP * _WORDS_PER_STEP)
+    chunk = _DRAWS_PER_CHUNK // threads // _WORDS_PER_STEP * _WORDS_PER_STEP
     chunks = -(-count // chunk)
     claims = itertools.count()
     claim_lock = threading.Lock()
@@ -261,7 +267,8 @@ def sample_trials(sigma3: ConditionalDistribution3, nu, count: int, key: int,
         for pos, n in claimed(bitgen):
             raw = bitgen.random_raw(n)
             bn, mn, codes = bucket[:n], mask[:n], out[pos : pos + n]
-            np.right_shift(raw, 64 - _BUCKET_BITS, out=bn.view(np.uint64))
+            # uintp has intp's width; where that is 64 bits, no cast.
+            np.right_shift(raw, 64 - _BUCKET_BITS, out=bn.view(np.uintp), casting="unsafe")
             np.take(table, bn, out=codes, mode="clip")
             np.equal(codes, _SPLIT, out=mn)
             amb = np.flatnonzero(mn)
@@ -284,7 +291,7 @@ def sample_trials(sigma3: ConditionalDistribution3, nu, count: int, key: int,
 
     size = min(chunk, count)
     pool_buffers = [(np.empty(size), np.empty(size, dtype=np.intp), np.empty(size, dtype=np.bool_))
-                    for _ in range(min(workers, chunks) - 1)]
+                    for _ in range(min(threads, chunks) - 1)]
     # The pool starts a thread per submitted job only.
     with ThreadPoolExecutor(max_workers=max(1, len(pool_buffers))) as pool:
         rest = [pool.submit(fill_float, *buffers) for buffers in pool_buffers]
@@ -292,6 +299,13 @@ def sample_trials(sigma3: ConditionalDistribution3, nu, count: int, key: int,
         for future in rest:
             future.result()
     return out
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def stream_key(seed: int, index: int) -> int:

@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -306,9 +307,15 @@ _CHUNK = simulator._DRAWS_PER_CHUNK
 _SKEWED_NU = [[0.55, 0.05], [0.3, 0.1]]
 
 
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Run up to four sampling threads on any host."""
+    monkeypatch.setattr(simulator, "_cpus", lambda: 4)
+
+
 @pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3, 300_001])
 @pytest.mark.parametrize("case", ["honest", "lr-skewed"])
-def test_sampler_is_worker_invariant(nu_uniform, case, count):
+def test_sampler_is_worker_invariant(nu_uniform, four_cpus, case, count):
     # Every worker count cuts [0, count) at different Philox counter steps.
     sigma3, nu = ((_HONEST, nu_uniform) if case == "honest"
                   else (AdversaryModel.lr_vertex(6).behavior, _SKEWED_NU))
@@ -319,9 +326,9 @@ def test_sampler_is_worker_invariant(nu_uniform, case, count):
         assert np.array_equal(sample_trials(sigma3, nu, count, key, workers=workers), serial)
 
 
-def test_sampler_workers_under_fast_thread_switching(nu_uniform):
-    # More workers than cores, switching threads every microsecond: each
-    # thread still fills only the chunks it claims.
+def test_sampler_workers_under_fast_thread_switching(nu_uniform, four_cpus):
+    # Four threads, switching every microsecond: each thread still fills
+    # only the chunks it claims.
     key = stream_key(23, 7)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -330,6 +337,27 @@ def test_sampler_workers_under_fast_thread_switching(nu_uniform):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(codes, sample_trials(_HONEST, nu_uniform, 300_001, key, workers=1))
+
+
+def test_sampler_threads_are_bounded(nu_uniform, monkeypatch):
+    # A huge worker count starts at most _MAX_THREADS - 1 pool threads
+    # beside the calling thread, and never more threads than CPUs.
+    jobs = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, *args):
+            jobs.append(self._max_workers)
+            return super().submit(*args)
+
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", CountingPool)
+    key = stream_key(23, 9)
+    serial = sample_trials(_HONEST, nu_uniform, 300_001, key, workers=1)
+    for cpus, pool_threads in ((10**6, simulator._MAX_THREADS - 1), (3, 2), (1, 0)):
+        monkeypatch.setattr(simulator, "_cpus", lambda: cpus)
+        jobs.clear()
+        codes = sample_trials(_HONEST, nu_uniform, 300_001, key, workers=10**9)
+        assert jobs == [pool_threads] * pool_threads, cpus
+        assert np.array_equal(codes, serial)
 
 
 def test_sampler_rejects_workers_below_one(nu_uniform):
@@ -347,7 +375,7 @@ _SERIAL_WORK_BYTES = {300_001: 1_684_263, 3_000_000: 1_684_655}
 
 @pytest.mark.parametrize("count", sorted(_SERIAL_WORK_BYTES))
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_sampler_work_memory_is_bounded(nu_uniform, workers, count):
+def test_sampler_work_memory_is_bounded(nu_uniform, four_cpus, workers, count):
     # The work buffers share _DRAWS_PER_CHUNK draws among the workers, so
     # more workers need no more work memory.
     sample_trials(_HONEST, nu_uniform, 1, stream_key(23, 0), workers=workers)
