@@ -195,6 +195,10 @@ def _settings_from_config(cfg: dict) -> JointSettingsDistribution:
 def cmd_simulate(args) -> int:
     if (args.files is None) == (args.duration_minutes is None):
         raise ValueError("give exactly one of --files or --duration-minutes")
+    if args.files is None and not (math.isfinite(args.duration_minutes)
+                                   and args.duration_minutes >= 0):
+        raise ValueError(f"--duration-minutes must be finite and nonnegative, "
+                         f"got {args.duration_minutes}")
     n_files = args.files if args.files is not None else int(args.duration_minutes)
     if n_files < 0:
         raise ValueError("file count must be nonnegative")
@@ -205,6 +209,9 @@ def cmd_simulate(args) -> int:
     error_files = set()
     if args.error_files:
         error_files = {int(tok) for tok in args.error_files.split(",") if tok.strip()}
+    outside = sorted(i for i in error_files if not 0 <= i < n_files)
+    if outside:
+        raise ValueError(f"--error-files indices {outside} outside 0..{n_files - 1}")
     cfg = _load_json(args.config) if args.config else {}
     model_spec, sigma3 = _resolve_model(args.model, cfg)
     nu = _settings_from_config(cfg)

@@ -25,6 +25,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from . import trialdata
 from .errors import (
     AnalysisAbort,
     DegenerateDataError,
@@ -40,8 +41,8 @@ from .estimation import (
 )
 from .testfactor import (
     TestFactor,
-    assemble_robust,
     build_wlr,
+    certified_factor,
     gain_variance,
     lambda_max,
     mix_with_unity,
@@ -87,8 +88,8 @@ class ProtocolParams:
             raise ValueError("need 0 < delta < epsilon <= 1")
         if self.n is not None and self.n < 1:
             raise ValueError("n must be at least 1")
-        if self.r_th < 0:
-            raise ValueError("r_th must be nonnegative")
+        if not (math.isfinite(self.r_th) and self.r_th >= 0):
+            raise ValueError(f"r_th must be finite and nonnegative, got {self.r_th!r}")
         if self.mode == "basic" and self.r_th != 0.0:
             raise ValueError("r_th applies to entanglement mode only")
 
@@ -264,6 +265,19 @@ def _mixed_gain_variance(w_flat, probs_flat, lams):
     return g, np.clip(v, 0.0, None)
 
 
+def _mixing_setup(tf: TestFactor, sigma3: ConditionalDistribution3, delta: float, epsilon: float):
+    """(w_flat, probs, 1 - wbar_min, log2(1/delta), z, lo, hi) of a search
+    over the unity-mixing weight lam in [lo, hi], inside (0, min(cap, 1e6))."""
+    probs = cell_probabilities(sigma3, tf.nu).reshape(32)
+    w_flat = tf.full_table().reshape(32)
+    deficit = 1.0 - wbar_min(tf)
+    if deficit <= 0:
+        raise UselessFactorError("planning needs settings-averaged minimum < 1")
+    cap = min(mixing_cap(tf), 1e6)
+    big, z = -math.log2(delta), z_for_epsilon(epsilon)
+    return w_flat, probs, deficit, big, z, 1e-6 * cap, cap * (1.0 - 1e-9)
+
+
 def plan_entanglement(
     tf: TestFactor, sigma3: ConditionalDistribution3, r_th: float, delta: float, epsilon: float
 ) -> EntanglementPlan:
@@ -278,15 +292,7 @@ def plan_entanglement(
     """
     if r_th < 0:
         raise ValueError("r_th must be nonnegative")
-    probs = cell_probabilities(sigma3, tf.nu).reshape(32)
-    w_flat = tf.full_table().reshape(32)
-    deficit = 1.0 - wbar_min(tf)
-    if deficit <= 0:
-        raise UselessFactorError("planning needs settings-averaged minimum < 1")
-    big = -math.log2(delta)
-    z = z_for_epsilon(epsilon)
-    cap = min(mixing_cap(tf), 1e6)
-    lo, hi = 1e-6 * cap, cap * (1.0 - 1e-9)
+    w_flat, probs, deficit, big, z, lo, hi = _mixing_setup(tf, sigma3, delta, epsilon)
 
     def continuous_n(lam_arr):
         g, v = _mixed_gain_variance(w_flat, probs, lam_arr)
@@ -360,15 +366,8 @@ def achievable_rth(
     margin still clears; 0 where n < 1 or even r_th = 0 is out of reach.
     """
     n = np.asarray(n)
-    probs = cell_probabilities(sigma3, tf.nu).reshape(32)
-    w_flat = tf.full_table().reshape(32)
-    deficit = 1.0 - wbar_min(tf)
-    if deficit <= 0:
-        raise UselessFactorError("planning needs settings-averaged minimum < 1")
-    big = -math.log2(delta)
-    z = z_for_epsilon(epsilon)
-    cap = min(mixing_cap(tf), 1e6)
-    grid = np.linspace(1e-6 * cap, cap * (1.0 - 1e-9), 2000)
+    w_flat, probs, deficit, big, z, lo, hi = _mixing_setup(tf, sigma3, delta, epsilon)
+    grid = np.linspace(lo, hi, 2000)
     g, v = _mixed_gain_variance(w_flat, probs, grid)
     m = np.maximum(n, 1)[:, None]
     slack_bits = g - (big + z * np.sqrt(m * v)) / m
@@ -377,14 +376,11 @@ def achievable_rth(
 
 
 class FileTrialSource:
-    """Disk-backed trial source; reads the header eagerly, trials lazily."""
+    """Disk-backed trial source; reads the header eagerly, trials lazily
+    (through trialdata.read_trial_codes, so a tracer patching it sees them)."""
 
     def __init__(self, path):
-        # Looked up at call time so a tracer can patch trialdata.read_trial_codes.
-        from .trialdata import read_trial_codes
-
         self._path = path
-        self._read_codes = read_trial_codes
         self.trials, self.error = read_trial_header(path)
         self.label = os.path.basename(os.fspath(path))
         self._what = f"{path}: payload byte"
@@ -392,7 +388,7 @@ class FileTrialSource:
 
     def counts(self) -> CountsTable:
         if self._counts is None:
-            codes, _ = self._read_codes(self._path)
+            codes, _ = trialdata.read_trial_codes(self._path)
             self._counts = aggregate_counts(codes, self._what)
         return self._counts
 
@@ -400,7 +396,7 @@ class FileTrialSource:
         """Counts of the first k trials: the cached counts() once k >= trials."""
         if k >= self.trials:
             return self.counts()
-        codes, _ = self._read_codes(self._path, limit=k)
+        codes, _ = trialdata.read_trial_codes(self._path, limit=k)
         return aggregate_counts(codes, self._what)
 
 
@@ -427,8 +423,8 @@ def calibrate(counts: CountsTable, nu, mismatch_d: float, meta: dict | None = No
     sigma = ml_fit_quantum(counts)
     sigma3 = regularize(sigma, mismatch_d)
     wlr = build_wlr(sigma, nu)
-    lam, duals = lambda_max(wlr, nu)
-    factor = assemble_robust(wlr, lam, nu, meta=meta, duals=duals)
+    lam, duals = lambda_max(wlr.table, nu)
+    factor = certified_factor(wlr.table, lam, nu, duals, meta)
     return Calibration(sigma, sigma3, factor)
 
 

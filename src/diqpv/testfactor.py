@@ -73,7 +73,7 @@ class MatchedFactor:
     gain: float
     lr_violating: bool
 
-    def __post_init__(self):  # lambda_max and assemble_robust check the values
+    def __post_init__(self):  # lambda_max and certified_factor check the values
         object.__setattr__(self, "table", np.asarray(self.table, dtype=np.float64))
 
 
@@ -247,28 +247,23 @@ def _pin_free_cells(table, support, rows, nu) -> np.ndarray:
     raised = table.copy()
     raised[~support] = 1.0
     if (rows @ raised <= 1.0 + 1e-12).all():
-        base, _ = lambda_max_table(table.reshape(2, 2, 2, 2), nu)
-        alt, _ = lambda_max_table(raised.reshape(2, 2, 2, 2), nu)
+        base, _ = lambda_max(table.reshape(2, 2, 2, 2), nu)
+        alt, _ = lambda_max(raised.reshape(2, 2, 2, 2), nu)
         if alt >= base - 1e-9:
             return raised
     return table
 
 
-def lambda_max(wlr: MatchedFactor, nu) -> tuple[float, np.ndarray]:
-    """Largest certifiable mismatch constant for a matched factor, with its duals."""
-    return lambda_max_table(wlr.table, nu)
-
-
-def lambda_max_table(table: np.ndarray, nu) -> tuple[float, np.ndarray]:
-    """Largest lambda with adversarial expectation <= 1, from one LP.
+def lambda_max(table: np.ndarray, nu) -> tuple[float, np.ndarray]:
+    """Largest mismatch constant lambda for a matched table, from one LP.
 
     The expected factor is c0 + lambda c1 (c0 the matched part, c1 the
     mismatch part), so the largest certifiable lambda is one shift search
     (polytopes.max_shift_within).  The expectation is at least lambda
     itself (an all-mismatch behavior is allowed), so no constant above 1
     is certifiable and the search stops at 1.  Returns (lambda, the LP's
-    NS3 row duals); raises CertificationError when the matched table alone
-    is not certifiable.
+    NS3 row duals, a certificate for certified_factor); raises
+    CertificationError when the matched table alone is not certifiable.
     """
     nu = settings_weights(nu)
     c0 = _float_objective(table, 0.0, nu)
@@ -279,17 +274,6 @@ def lambda_max_table(table: np.ndarray, nu) -> tuple[float, np.ndarray]:
             "matched factor alone is not certifiable; no valid mismatch constant"
         )
     return found
-
-
-def assemble_robust(wlr: MatchedFactor, lam: float, nu, duals, meta=None) -> TestFactor:
-    """Assemble the full factor: matched table plus mismatch constant lam.
-
-    Matched cells take the factor at outcome pair (oa, z) for common
-    prover outcome z.  lambda_max's duals certify it with no LP solve.
-    """
-    if lam < 0:
-        raise ValueError("mismatch constant must be nonnegative")
-    return certified_factor(wlr.table, float(lam), nu, duals, meta)
 
 
 def wbar_min(tf: TestFactor) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diqpv.estimation import ml_fit_quantum, regularize
-from diqpv.testfactor import assemble_robust, build_wlr, lambda_max
+from diqpv.testfactor import build_wlr, certified_factor, lambda_max
 from diqpv.trialdata import JointSettingsDistribution
 
 from golden import reference_counts_table
@@ -35,7 +35,7 @@ def golden_wlr(golden_fit, nu_uniform):
 
 @pytest.fixture(scope="session")
 def golden_lambda_duals(golden_wlr, nu_uniform):
-    return lambda_max(golden_wlr, nu_uniform)
+    return lambda_max(golden_wlr.table, nu_uniform)
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +46,7 @@ def golden_lambda(golden_lambda_duals):
 @pytest.fixture(scope="session")
 def golden_factor(golden_wlr, golden_lambda_duals, nu_uniform):
     lam, duals = golden_lambda_duals
-    return assemble_robust(golden_wlr, lam, nu_uniform, duals=duals)
+    return certified_factor(golden_wlr.table, lam, nu_uniform, duals)
 
 
 @pytest.fixture(scope="session")

@@ -39,7 +39,7 @@ from diqpv.protocol import (
 )
 from diqpv.reference import timing_geometry
 from diqpv.simulator import HonestProverModel, sample_trials, source_robustness, stream_key
-from diqpv.testfactor import assemble_robust, build_wlr, gain_variance, lambda_max
+from diqpv.testfactor import build_wlr, certified_factor, gain_variance, lambda_max
 from diqpv.trialdata import CountsTable
 
 LN2 = math.log(2.0)
@@ -63,8 +63,8 @@ def test_c01_calibration_fit_matches_reference(golden_counts):
 def test_c02_factor_construction_matches_reference(golden_fit, nu_uniform):
     start = time.perf_counter()
     wlr = build_wlr(golden_fit, nu_uniform)
-    lam, duals = lambda_max(wlr, nu_uniform)
-    tf = assemble_robust(wlr, lam, nu_uniform, duals=duals)
+    lam, duals = lambda_max(wlr.table, nu_uniform)
+    tf = certified_factor(wlr.table, lam, nu_uniform, duals)
     elapsed = time.perf_counter() - start
     rel = float(np.abs(tf.matched / factor_array() - 1.0).max())
     dlam = abs(tf.mismatch - REFERENCE_MISMATCH)
@@ -103,8 +103,8 @@ def test_c05_certification_under_perturbation(golden_counts, golden_factor, nu_u
         pert = CountsTable(rng.poisson(golden_counts.table * jitter).astype(np.float64))
         wlr = build_wlr(ml_fit_quantum(pert), nu_uniform)
         violating += wlr.lr_violating
-        lam, duals = lambda_max(wlr, nu_uniform)
-        tf = assemble_robust(wlr, lam, nu_uniform, duals=duals)
+        lam, duals = lambda_max(wlr.table, nu_uniform)
+        tf = certified_factor(wlr.table, lam, nu_uniform, duals)
         expectations.append(1.0 - tf.cert_margin)
     worst = max(expectations)
     _check(5, "certification under perturbation", worst <= 1.0 + 1e-8,

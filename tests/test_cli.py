@@ -302,6 +302,22 @@ def test_simulate_rejects_negative_trials_per_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--files", "2", "--error-files", "5,-1"], "--error-files indices [-1, 5] outside 0..1"),
+    (["--files", "2", "--error-files", "2"], "--error-files indices [2] outside 0..1"),
+    (["--duration-minutes", "inf"], "--duration-minutes must be finite and nonnegative, got inf"),
+    (["--duration-minutes", "nan"], "--duration-minutes must be finite and nonnegative, got nan"),
+    (["--duration-minutes", "-0.5"],
+     "--duration-minutes must be finite and nonnegative, got -0.5"),
+], ids=["error-files-outside", "error-files-one-past", "duration-inf", "duration-nan",
+        "duration-negative"])
+def test_simulate_rejects_run_shape_before_writing(tmp_path, capsys, flags, message):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--trials-per-file", "100"] + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_simulate_lr_shortcut_matches_config(tmp_path):
     cfg = tmp_path / "lr.json"
     cfg.write_text(json.dumps({"model": {"kind": "lr_vertex", "index": 5}}))
@@ -513,7 +529,9 @@ def test_analyze_rejects_operating_point_before_calibrating(
     ["--mode", "basic", "--rth", "1e-5"],
     ["--delta-log2", "0"],
     ["--delta-log2", "-1"],
-], ids=["basic-rth", "delta-one", "delta-above-one"])
+    ["--mode", "entanglement", "--rth", "nan"],
+    ["--mode", "entanglement", "--rth", "inf"],
+], ids=["basic-rth", "delta-one", "delta-above-one", "rth-nan", "rth-inf"])
 def test_plan_rejects_the_operating_points_analyze_rejects(tmp_path, capsys, flags):
     run = tmp_path / "run"
     run.mkdir()

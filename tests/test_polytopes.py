@@ -22,7 +22,7 @@ from diqpv.polytopes import (
     quantum_set,
 )
 from diqpv.polytopes import _dual_bound
-from diqpv.testfactor import _expected_factor_objective, assemble_robust, build_wlr, lambda_max
+from diqpv.testfactor import _expected_factor_objective, build_wlr, certified_factor, lambda_max
 from diqpv.trialdata import CountsTable
 
 from helpers import (
@@ -194,8 +194,8 @@ def test_max_linear_bound_is_valid(golden_counts, golden_factor, nu_uniform):
         jitter = np.exp(rng.normal(0.0, 0.05, size=golden_counts.table.shape))
         pert = CountsTable(rng.poisson(golden_counts.table * jitter).astype(np.float64))
         wlr = build_wlr(ml_fit_quantum(pert), nu_uniform)
-        lam, duals = lambda_max(wlr, nu_uniform)
-        factors.append(assemble_robust(wlr, lam, nu_uniform, duals=duals))
+        lam, duals = lambda_max(wlr.table, nu_uniform)
+        factors.append(certified_factor(wlr.table, lam, nu_uniform, duals))
     cases = [(ns3, _exact_fractions(tf)) for tf in factors]
     cases += [(ns3, rng.standard_normal(64)) for _ in range(20)]
     cases += [(quantum, chsh_row(signs)) for signs in CHSH_SIGNS]

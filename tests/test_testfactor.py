@@ -20,13 +20,11 @@ from diqpv.testfactor import (
     _float_objective,
     _pin_free_cells,
     _vertex_constraint_rows,
-    assemble_robust,
     build_wlr,
     certified_factor,
     certify,
     gain_variance,
     lambda_max,
-    lambda_max_table,
     mix_with_unity,
     mixing_cap,
     scale_for_fixed_entanglement,
@@ -102,24 +100,24 @@ def test_full_table_and_value_agree(golden_factor):
 
 
 def test_unity_factor_caps_mismatch_at_one(nu_uniform):
-    lam, duals = lambda_max_table(np.ones((2, 2, 2, 2)), nu_uniform)
+    lam, duals = lambda_max(np.ones((2, 2, 2, 2)), nu_uniform)
     assert lam == 1.0
     unity = MatchedFactor(np.ones((2, 2, 2, 2)), 0.0, False)
-    tf = assemble_robust(unity, lam, nu_uniform, duals=duals)
+    tf = certified_factor(unity.table, lam, nu_uniform, duals)
     assert tf.global_min() == 1.0
     assert wbar_min(tf) == 1.0
 
 
 def test_lambda_monotone_under_downscaling(golden_wlr, golden_lambda, nu_uniform):
-    lam_half, _ = lambda_max_table(0.5 * golden_wlr.table, nu_uniform)
+    lam_half, _ = lambda_max(0.5 * golden_wlr.table, nu_uniform)
     assert lam_half >= golden_lambda
-    lam_tiny, _ = lambda_max_table(1e-3 * golden_wlr.table, nu_uniform)
+    lam_tiny, _ = lambda_max(1e-3 * golden_wlr.table, nu_uniform)
     assert lam_tiny >= lam_half
 
 
 def test_uncertifiable_matched_table_rejected(nu_uniform):
     with pytest.raises(CertificationError):
-        lambda_max_table(np.full((2, 2, 2, 2), 2.0), nu_uniform)
+        lambda_max(np.full((2, 2, 2, 2), 2.0), nu_uniform)
 
 
 def test_lambda_max_matches_bisection_oracle(golden_counts, golden_wlr, nu_uniform):
@@ -130,7 +128,7 @@ def test_lambda_max_matches_bisection_oracle(golden_counts, golden_wlr, nu_unifo
         pert = CountsTable(rng.poisson(golden_counts.table * jitter).astype(np.float64))
         tables.append(build_wlr(ml_fit_quantum(pert), nu_uniform).table)
     for table in tables:
-        lam, _ = lambda_max_table(table, nu_uniform)
+        lam, _ = lambda_max(table, nu_uniform)
         assert lam == pytest.approx(lambda_max_bisection(table, nu_uniform), abs=1e-8)
         # Not above the facet, and maximal unless capped.
         assert certify(table, lam, nu_uniform)[0] <= 1.0 + 1e-12
@@ -152,7 +150,7 @@ def _count_linprog(monkeypatch):
 
 def test_lambda_max_is_one_lp(golden_wlr, nu_uniform, monkeypatch):
     calls = _count_linprog(monkeypatch)
-    lambda_max(golden_wlr, nu_uniform)
+    lambda_max(golden_wlr.table, nu_uniform)
     assert len(calls) == 1
 
 
@@ -162,7 +160,7 @@ def test_certify_is_one_lp(golden_wlr, golden_lambda_duals, golden_factor, nu_un
     assert len(calls) == 1
     # lambda_max's duals are the certificate: assembling checks, not solves.
     lam, duals = golden_lambda_duals
-    assemble_robust(golden_wlr, lam, nu_uniform, duals=duals)
+    certified_factor(golden_wlr.table, lam, nu_uniform, duals)
     assert len(calls) == 1
 
 
@@ -178,7 +176,7 @@ def test_build_wlr_pins_zero_weight_cells(nu_uniform):
     assert np.all(wlr.table[free] == 0.0)
     assert np.all(wlr.table[~free] > 0.0)
     assert wlr.gain == pytest.approx(0.0571479699328497, abs=1e-12)
-    assert lambda_max(wlr, nu_uniform)[0] == pytest.approx(
+    assert lambda_max(wlr.table, nu_uniform)[0] == pytest.approx(
         lambda_max_bisection(wlr.table, nu_uniform), abs=1e-8
     )
 
@@ -373,22 +371,22 @@ def test_no_slack_and_excess_is_divided_out(golden_wlr, golden_lambda_duals, nu_
     with pytest.raises(CertificationError):
         CertifiedFactor(matched, lam, nu_uniform, duals=duals)
     for shift in (0.0, 1e-12):
-        tf = assemble_robust(golden_wlr, lam + shift, nu_uniform, duals=duals)
+        tf = certified_factor(golden_wlr.table, lam + shift, nu_uniform, duals)
         assert tf.scale > 1.0 and tf.cert_margin >= 0.0
         assert tf.mismatch * tf.scale <= lam + shift
         assert np.all(tf.matched * tf.scale <= matched)
     # An excess beyond float error in the duals is a caller's error.
     with pytest.raises(CertificationError):
-        assemble_robust(golden_wlr, lam + 1e-3, nu_uniform, duals=duals)
+        certified_factor(golden_wlr.table, lam + 1e-3, nu_uniform, duals)
     with pytest.raises(CertificationError):
-        assemble_robust(golden_wlr, lam, nu_uniform, duals=np.zeros(56))
+        certified_factor(golden_wlr.table, lam, nu_uniform, np.zeros(56))
 
 
 def test_non_dyadic_nu_is_certified_exactly(golden_fit, monkeypatch):
     nu = np.array([[0.3, 0.2], [0.1, 0.4]])
     wlr = build_wlr(golden_fit, nu)
-    lam, duals = lambda_max(wlr, nu)
-    tf = assemble_robust(wlr, lam, nu, duals=duals)
+    lam, duals = lambda_max(wlr.table, nu)
+    tf = certified_factor(wlr.table, lam, nu, duals)
     assert tf.cert_margin >= 0.0
     # The objective holds the exact products nu * w / sum(nu), not their rounding.
     num, den = _expected_factor_objective(tf.matched, tf.mismatch, tf.nu)
@@ -430,16 +428,16 @@ def test_factor_validation(golden_factor, nu_uniform):
     with pytest.raises(CertificationError):
         certified_factor(golden_factor.matched, 2.0, nu_uniform.table)
     with pytest.raises(ValueError):
-        assemble_robust(
-            MatchedFactor(np.ones((2, 2, 2, 2)), 0.0, False), -0.1, nu_uniform, np.zeros(56)
+        certified_factor(
+            MatchedFactor(np.ones((2, 2, 2, 2)), 0.0, False).table, -0.1, nu_uniform, np.zeros(56)
         )
 
 
 def test_regularized_fit_survives_certification(golden_fit, nu_uniform):
     """The whole pipeline run at a coarser mismatch parameter stays sound."""
     wlr = build_wlr(golden_fit, nu_uniform)
-    lam, duals = lambda_max(wlr, nu_uniform)
-    tf = assemble_robust(wlr, lam, nu_uniform, duals=duals)
+    lam, duals = lambda_max(wlr.table, nu_uniform)
+    tf = certified_factor(wlr.table, lam, nu_uniform, duals)
     sigma3 = regularize(golden_fit, 1e-4)
     g, v = gain_variance(tf, sigma3)
     assert v > 0
@@ -612,7 +610,7 @@ def test_simplex_matches_highs_on_perturbed_fits(golden_counts, nu_uniform):
         jitter = np.exp(rng.normal(0.0, 0.05, size=golden_counts.table.shape))
         pert = CountsTable(rng.poisson(golden_counts.table * jitter).astype(np.float64))
         table = build_wlr(ml_fit_quantum(pert), nu).table
-        lam, duals = lambda_max_table(table, nu)
+        lam, duals = lambda_max(table, nu)
         c0 = _float_objective(table, 0.0, nu)
         lam_h, duals_h = max_shift_within_highs(c0, c1, _NS3, 1.0, 10.0)
         lam_h = min(lam_h, 1.0)  # no constant above 1 is certifiable
