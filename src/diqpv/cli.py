@@ -207,8 +207,11 @@ def cmd_simulate(args) -> int:
     if args.trials_per_file < 0:
         raise ValueError(f"--trials-per-file must be nonnegative, got {args.trials_per_file}")
     error_files = set()
-    if args.error_files:
-        error_files = {int(tok) for tok in args.error_files.split(",") if tok.strip()}
+    for tok in filter(None, map(str.strip, args.error_files.split(","))):
+        try:
+            error_files.add(int(tok))
+        except ValueError:
+            raise ValueError(f"--error-files entry {tok!r} is not an integer") from None
     outside = sorted(i for i in error_files if not 0 <= i < n_files)
     if outside:
         raise ValueError(f"--error-files indices {outside} outside 0..{n_files - 1}")
@@ -304,6 +307,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_plan(args) -> int:
     params = _params(args)
+    if not (math.isfinite(args.max_minutes) and args.max_minutes > 0):
+        raise ValueError(f"--max-minutes must be finite and positive, got {args.max_minutes}")
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     delta, r_th, epsilon = params.delta, params.r_th, params.epsilon
     counts = _counts_from_arg(args.counts)
     cal = calibrate(counts, JointSettingsDistribution.uniform(), args.mismatch_d)

@@ -13,13 +13,17 @@ number of files regardless of error flags, its calibration window is the
 ten most recent error-free files before it, and a final short instance
 uses whatever files remain.  Instances longer than n trials are truncated
 by discarding trials from the end; shorter ones are padded with neutral
-trials of factor 1.
+trials of factor 1.  The files every calibration window will count are
+counted ahead in forked child processes while the caller calibrates.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import warnings
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -49,6 +53,7 @@ from .testfactor import (
     mixing_cap,
     wbar_min,
 )
+from .simulator import _cpus
 from .trialdata import (
     CountsTable,
     JointSettingsDistribution,
@@ -385,19 +390,132 @@ class FileTrialSource:
         self.label = os.path.basename(os.fspath(path))
         self._what = f"{path}: payload byte"
         self._counts: CountsTable | None = None
+        # The forked child counting this file ahead, while one does.
+        self._child: _Child | None = None
 
     def counts(self) -> CountsTable:
         if self._counts is None:
-            codes, _ = trialdata.read_trial_codes(self._path)
-            self._counts = aggregate_counts(codes, self._what)
+            found = self._child.result(self) if self._child is not None else None
+            if isinstance(found, Exception):
+                raise found
+            self._counts = self._count() if found is None else found
         return self._counts
 
     def prefix_counts(self, k: int) -> CountsTable:
         """Counts of the first k trials: the cached counts() once k >= trials."""
         if k >= self.trials:
             return self.counts()
-        codes, _ = trialdata.read_trial_codes(self._path, limit=k)
+        return self._count(k)
+
+    def _count(self, limit: int | None = None) -> CountsTable:
+        codes, _ = trialdata.read_trial_codes(self._path, limit)
         return aggregate_counts(codes, self._what)
+
+
+# Fewest trials, in all, that _counting_ahead forks children to count;
+# below it the files are counted in-process, each when first needed.
+_FORK_TRIALS = 1 << 25
+
+
+class _Child:
+    """A forked child counting a stripe of files, and the pipe its results
+    come through: per file in stripe order, one pickled list, the 32 counts
+    in flat order, or the exception counting the file raised."""
+
+    def __init__(self, pid: int, fd: int, stripe):
+        self.pid = pid
+        self.pipe = open(fd, "rb")
+        self._unread = iter(stripe)
+        self._results: dict = {}
+
+    def result(self, src):
+        """src's CountsTable or the exception counting it raised; None if
+        the child ended before sending it, so the caller counts it itself."""
+        while src not in self._results:
+            try:
+                found = pickle.load(self.pipe)
+            except (EOFError, pickle.UnpicklingError):  # the child ended early
+                self._results.update(dict.fromkeys(self._unread))
+                break
+            if isinstance(found, list):
+                found = CountsTable(np.reshape(found, (2, 2, 2, 2, 2)))
+            self._results[next(self._unread)] = found
+        return self._results.pop(src)
+
+
+def _count_stripe(stripe, r: int, w: int, siblings) -> None:
+    """A forked child's whole life: count stripe into pipe w, then _exit.
+
+    It leaves only through os._exit, so it never returns into its parent's
+    callers (a test runner, or a benchmark calling cli.main in-process).
+    It first closes the read ends it inherited, its own pipe's (r) and
+    its older siblings', so that each pipe's one reader is the parent."""
+    try:
+        os.close(r)
+        for sibling in siblings:
+            os.close(sibling.pipe.fileno())
+        with open(w, "wb") as out:
+            for src in stripe:
+                try:
+                    found = src._count().table.ravel().tolist()
+                except Exception as exc:
+                    found = exc
+                out.write(pickle.dumps(found))
+                out.flush()
+    finally:
+        os._exit(0)
+
+
+@contextmanager
+def _counting_ahead(sources):
+    """Count the FileTrialSources in sources in forked children meanwhile.
+
+    Each of at most _cpus() children counts a fixed stripe, sources[i::n],
+    in order, and a source's counts() takes its result when first needed:
+    an error surfaces where, and in the order, counting in-process raises
+    it.  Below _FORK_TRIALS trials in all, or without os.fork, nothing is
+    forked.  On leaving, every pipe is closed and every child reaped.
+    """
+    sources = [s for s in sources if isinstance(s, FileTrialSource)]
+    if not hasattr(os, "fork") or sum(s.trials for s in sources) < _FORK_TRIALS:
+        yield
+        return
+    n = min(_cpus(), len(sources))
+    children: list[_Child] = []
+    try:
+        for i in range(n):
+            r, w = os.pipe()
+            # Python 3.12 warns that forking a multi-threaded process (numpy's
+            # BLAS threads count) may deadlock the child in a lock another
+            # thread held.  This child only reads, counts, pickles and calls
+            # os._exit: no BLAS, no thread, no lock but the GIL and the
+            # import lock, which fork resets.
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                        DeprecationWarning)
+                try:
+                    pid = os.fork()
+                except OSError:  # the rest are counted in-process
+                    os.close(r)
+                    os.close(w)
+                    break
+            if pid == 0:
+                _count_stripe(sources[i::n], r, w, children)
+            os.close(w)
+            children.append(_Child(pid, r, sources[i::n]))
+            for src in sources[i::n]:
+                src._child = children[-1]
+        yield
+    finally:
+        for src in sources:
+            src._child = None
+        # A child still counting meets the closed pipe at its next write and
+        # exits, so waiting here takes at most one file's count.
+        for child in children:
+            child.pipe.close()
+        for child in children:
+            with suppress(ChildProcessError):
+                os.waitpid(child.pid, 0)
 
 
 @dataclass(frozen=True)
@@ -486,42 +604,46 @@ def segment_and_analyze(
     fpi = params.files_per_instance
     out: list[AnalyzedInstance] = []
     pos = _first_instance_start(sources)
-    while pos < len(sources):
-        block = sources[pos : pos + fpi]
-        window = _window(sources, pos)
-        cal = _calibrate_window(window, weights, mismatch_d)
-        tf = cal.factor
-        lam_mix = None
-        if params.mode == "entanglement":
-            plan = plan_entanglement(tf, cal.sigma3, params.r_th, params.delta, params.epsilon)
-            tf = plan.factor
-            lam_mix = plan.lam_mix
-        if params.n is None:
+    # Every error-free file before the last instance's block lands in a
+    # calibration window, so it is certain to be counted in full.
+    last = pos + (len(sources) - 1 - pos) // fpi * fpi
+    with _counting_ahead([s for s in sources[:last] if not s.error]):
+        while pos < len(sources):
+            block = sources[pos : pos + fpi]
+            window = _window(sources, pos)
+            cal = _calibrate_window(window, weights, mismatch_d)
+            tf = cal.factor
+            lam_mix = None
             if params.mode == "entanglement":
-                n = plan.n
-            else:
-                g, v = gain_variance(tf, cal.sigma3)
-                n = required_trials(g, v, params.delta, params.epsilon)
-            params = replace(params, n=n)
-        counts = CountsTable.zeros()
-        consumed = 0
-        for src in block:
-            remaining = params.n - consumed
-            if remaining <= 0:
-                break
-            k = min(src.trials, remaining)
-            counts = counts + src.prefix_counts(k)
-            consumed += k
-        result = run_instance_from_counts(counts, consumed, tf, params)
-        out.append(
-            AnalyzedInstance(
-                index=len(out),
-                result=result,
-                calibration_labels=tuple(s.label for s in window),
-                data_labels=tuple(s.label for s in block),
-                factor=tf,
-                lam_mix=lam_mix,
+                plan = plan_entanglement(tf, cal.sigma3, params.r_th, params.delta, params.epsilon)
+                tf = plan.factor
+                lam_mix = plan.lam_mix
+            if params.n is None:
+                if params.mode == "entanglement":
+                    n = plan.n
+                else:
+                    g, v = gain_variance(tf, cal.sigma3)
+                    n = required_trials(g, v, params.delta, params.epsilon)
+                params = replace(params, n=n)
+            counts = CountsTable.zeros()
+            consumed = 0
+            for src in block:
+                remaining = params.n - consumed
+                if remaining <= 0:
+                    break
+                k = min(src.trials, remaining)
+                counts = counts + src.prefix_counts(k)
+                consumed += k
+            result = run_instance_from_counts(counts, consumed, tf, params)
+            out.append(
+                AnalyzedInstance(
+                    index=len(out),
+                    result=result,
+                    calibration_labels=tuple(s.label for s in window),
+                    data_labels=tuple(s.label for s in block),
+                    factor=tf,
+                    lam_mix=lam_mix,
+                )
             )
-        )
-        pos += len(block)
+            pos += len(block)
     return out

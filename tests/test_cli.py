@@ -16,6 +16,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from golden import (
 )
 import diqpv
 import diqpv.polytopes
-from diqpv import __version__
+from diqpv import __version__, protocol
 from diqpv.cli import PLAN_EPSILONS, build_parser, main
 from diqpv.geometry import SPEED_OF_LIGHT_M_PER_NS
 from diqpv.testfactor import testfactor_from_json as factor_from_json
@@ -305,12 +306,13 @@ def test_simulate_rejects_negative_trials_per_file(tmp_path, capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--files", "2", "--error-files", "5,-1"], "--error-files indices [-1, 5] outside 0..1"),
     (["--files", "2", "--error-files", "2"], "--error-files indices [2] outside 0..1"),
+    (["--files", "2", "--error-files", "1,x"], "--error-files entry 'x' is not an integer"),
     (["--duration-minutes", "inf"], "--duration-minutes must be finite and nonnegative, got inf"),
     (["--duration-minutes", "nan"], "--duration-minutes must be finite and nonnegative, got nan"),
     (["--duration-minutes", "-0.5"],
      "--duration-minutes must be finite and nonnegative, got -0.5"),
-], ids=["error-files-outside", "error-files-one-past", "duration-inf", "duration-nan",
-        "duration-negative"])
+], ids=["error-files-outside", "error-files-one-past", "error-files-not-int", "duration-inf",
+        "duration-nan", "duration-negative"])
 def test_simulate_rejects_run_shape_before_writing(tmp_path, capsys, flags, message):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), "--trials-per-file", "100"] + flags) == 1
@@ -445,6 +447,138 @@ def test_analyze_names_the_file_with_a_byte_out_of_range(odd_dir, tmp_path, caps
     assert f"error: {bad}: payload byte out of range 0..31" in err
 
 
+@pytest.fixture(scope="module")
+def flagged_dir(tmp_path_factory, ideal_config):
+    out = tmp_path_factory.mktemp("flagged") / "run"
+    rc = main(["simulate", "--out", str(out), "--files", "17",
+               "--trials-per-file", "3000", "--config", str(ideal_config),
+               "--seed", "13", "--error-files", "12"])
+    assert rc == 0
+    return out
+
+
+def _fork_always(monkeypatch, warn=False):
+    """Count ahead in forked children however small the run; returns the
+    children's pids as they are forked.  warn=True makes each fork warn in
+    the parent as Python 3.12+ does in a multi-threaded process."""
+    monkeypatch.setattr(protocol, "_FORK_TRIALS", 0)
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+            if warn:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                              "fork() may lead to deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _analyze_outputs(capsys, run, out, flags):
+    """(exit code, stdout, stderr, {file name: bytes}) of one analyze call."""
+    rc = main(["analyze", str(run), "--out", str(out)] + flags)
+    std = capsys.readouterr()
+    files = {f.name: f.read_bytes() for f in sorted(out.iterdir())} if out.exists() else {}
+    shutil.rmtree(out, ignore_errors=True)
+    return rc, std.out, std.err, files
+
+
+@pytest.mark.parametrize("flags, children", [
+    (["--trials-per-instance", "4000", "--delta-log2", "4"], 15),
+    (["--delta-log2", "4"], 15),
+    (["--mode", "entanglement", "--delta-log2", "4"], 13),
+], ids=["basic-fixed-n", "basic-planned-n", "entanglement"])
+def test_forked_counting_matches_in_process(flagged_dir, tmp_path, capsys, monkeypatch,
+                                            flags, children):
+    # children: the error-free files before the last instance's block.
+    serial = _analyze_outputs(capsys, flagged_dir, tmp_path / "rep", flags)
+    assert serial[0] in (0, 2) and len(serial[3]) >= 3
+    pids = _fork_always(monkeypatch)
+    assert _analyze_outputs(capsys, flagged_dir, tmp_path / "rep", flags) == serial
+    assert len(pids) == min(protocol._cpus(), children)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("damage", [{4}, {11}, {4, 11}], ids=["bad-byte", "truncated", "both"])
+def test_forked_counting_raises_the_in_process_error(flagged_dir, tmp_path, capsys,
+                                                     monkeypatch, damage):
+    # File 4 calibrates the first instance.  File 11 is the first
+    # instance's second data file: its first 1000 trials score it, and only
+    # the second window reads it in full, so its truncation shows there.
+    run = tmp_path / "run"
+    shutil.copytree(flagged_dir, run)
+    if 4 in damage:
+        bad = run / "trials-0004.qpvt"
+        data = bytearray(bad.read_bytes())
+        data[14 + 100] = 32
+        bad.write_bytes(bytes(data))
+    if 11 in damage:
+        short = run / "trials-0011.qpvt"
+        short.write_bytes(short.read_bytes()[:-10])
+    flags = ["--trials-per-instance", "4000", "--delta-log2", "4"]
+    serial = _analyze_outputs(capsys, run, tmp_path / "rep", flags)
+    pids = _fork_always(monkeypatch)
+    forked = _analyze_outputs(capsys, run, tmp_path / "rep", flags)
+    assert pids
+    assert forked == serial
+    rc, _, err, _ = forked
+    expected = (f"{run / 'trials-0004.qpvt'}: payload byte out of range 0..31" if 4 in damage
+                else f"{run / 'trials-0011.qpvt'}: expected 3000 trials, found 2990")
+    assert rc == 1 and err == f"error: {expected}\n"
+    _assert_no_child_left()
+
+
+def test_forked_counting_reaps_children_when_the_parent_raises(flagged_dir, tmp_path,
+                                                               monkeypatch):
+    pids = _fork_always(monkeypatch)
+    real_calibrate = protocol.calibrate
+    calls = []
+
+    def calibrate_once(*args, **kwargs):
+        if calls:
+            raise RuntimeError("second calibration")
+        calls.append(1)
+        return real_calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "calibrate", calibrate_once)
+    with pytest.raises(RuntimeError, match="second calibration"):
+        main(["analyze", str(flagged_dir), "--out", str(tmp_path / "rep"),
+              "--trials-per-instance", "4000"])
+    assert pids
+    _assert_no_child_left()
+
+
+def test_forked_counting_counts_in_process_after_a_child_dies(flagged_dir, tmp_path, capsys,
+                                                             monkeypatch):
+    flags = ["--trials-per-instance", "4000", "--delta-log2", "4"]
+    serial = _analyze_outputs(capsys, flagged_dir, tmp_path / "rep", flags)
+    pids = _fork_always(monkeypatch)
+    # Each child exits before it sends a single result.
+    monkeypatch.setattr(protocol, "_count_stripe", lambda *args: os._exit(0))
+    assert _analyze_outputs(capsys, flagged_dir, tmp_path / "rep", flags) == serial
+    assert pids
+    _assert_no_child_left()
+
+
+def test_forked_counting_raises_no_fork_warning(flagged_dir, tmp_path, monkeypatch):
+    pids = _fork_always(monkeypatch, warn=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["analyze", str(flagged_dir), "--out", str(tmp_path / "rep"),
+                   "--trials-per-instance", "4000", "--delta-log2", "4"])
+    assert rc in (0, 2) and pids
+    _assert_no_child_left()
+
+
 def test_analyze_local_data_exit_codes(tmp_path, capsys):
     cfg = tmp_path / "mix.json"
     cfg.write_text(json.dumps({"model": {"kind": "lr_mixture",
@@ -542,6 +676,22 @@ def test_plan_rejects_the_operating_points_analyze_rejects(tmp_path, capsys, fla
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err == analyze_err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--max-minutes", "inf"], "--max-minutes must be finite and positive, got inf"),
+    (["--max-minutes", "nan"], "--max-minutes must be finite and positive, got nan"),
+    (["--max-minutes", "-1"], "--max-minutes must be finite and positive, got -1.0"),
+    (["--max-minutes", "0"], "--max-minutes must be finite and positive, got 0.0"),
+    (["--points", "0"], "--points must be at least 1, got 0"),
+    (["--points", "-3"], "--points must be at least 1, got -3"),
+], ids=["minutes-inf", "minutes-nan", "minutes-negative", "minutes-zero", "points-zero",
+        "points-negative"])
+def test_plan_rejects_trade_off_grid_before_writing(tmp_path, capsys, flags, message):
+    out = tmp_path / "plan"
+    assert main(["plan", "--out", str(out)] + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
