@@ -13,8 +13,10 @@ number of files regardless of error flags, its calibration window is the
 ten most recent error-free files before it, and a final short instance
 uses whatever files remain.  Instances longer than n trials are truncated
 by discarding trials from the end; shorter ones are padded with neutral
-trials of factor 1.  The files every calibration window will count are
-counted ahead in forked child processes while the caller calibrates.
+trials of factor 1.  Every file the run reads is counted once, ahead, in
+forked child processes while the caller calibrates; each child sends the
+running counts after every chunk of 2^20 trials, so an instance's partial
+last file costs the caller at most one chunk of its own reading.
 """
 
 from __future__ import annotations
@@ -380,36 +382,79 @@ def achievable_rth(
     return np.where((n >= 1) & (rates > 0.0), rates, 0.0)
 
 
+# Trials per chunk of a file count.  The running counts after each chunk
+# (marks) let a prefix count read fewer than _CHUNK trials itself.
+_CHUNK = 1 << 20
+
+
 class FileTrialSource:
-    """Disk-backed trial source; reads the header eagerly, trials lazily
-    (through trialdata.read_trial_codes, so a tracer patching it sees them)."""
+    """Disk-backed trial source; reads the header eagerly, trials lazily.
+
+    A count reads the file _CHUNK trials at a time into one reused buffer.
+    A full count keeps its marks, the running counts after 0, _CHUNK,
+    2 _CHUNK, ... trials and after the last one, so prefix_counts(k) adds
+    marks[k // _CHUNK] to a count of fewer than _CHUNK trials, read through
+    trialdata.read_trial_codes (so a tracer patching it sees them).  While
+    _counting_ahead runs, the marks come from the forked child counting the
+    file; a prefix of a file without marks is counted in-process.
+    """
 
     def __init__(self, path):
         self._path = path
         self.trials, self.error = read_trial_header(path)
         self.label = os.path.basename(os.fspath(path))
         self._what = f"{path}: payload byte"
-        self._counts: CountsTable | None = None
-        # The forked child counting this file ahead, while one does.
+        # The marks, one flat row each, once the file is counted in full.
+        self._marks: np.ndarray | None = None
+        # The exception a forked child's count of this file raised.
+        self._failure: Exception | None = None
+        # The forked child counting this file ahead, until its result is taken.
         self._child: _Child | None = None
 
     def counts(self) -> CountsTable:
-        if self._counts is None:
-            found = self._child.result(self) if self._child is not None else None
-            if isinstance(found, Exception):
-                raise found
-            self._counts = self._count() if found is None else found
-        return self._counts
+        self._take_child_result()
+        if self._failure is not None:
+            raise self._failure
+        if self._marks is None:
+            self._marks = self._tally()
+        return CountsTable(self._marks[-1].reshape(2, 2, 2, 2, 2))
 
     def prefix_counts(self, k: int) -> CountsTable:
         """Counts of the first k trials: the cached counts() once k >= trials."""
         if k >= self.trials:
             return self.counts()
-        return self._count(k)
+        self._take_child_result()
+        if self._marks is None:
+            flat = self._tally(k)[-1]
+        else:
+            start = k - k % _CHUNK
+            flat = self._marks[start // _CHUNK]
+            if start < k:
+                codes, _ = trialdata.read_trial_codes(self._path, k, start)
+                flat = flat + aggregate_counts(codes, self._what).table.ravel()
+        return CountsTable(flat.reshape(2, 2, 2, 2, 2))
 
-    def _count(self, limit: int | None = None) -> CountsTable:
-        codes, _ = trialdata.read_trial_codes(self._path, limit)
-        return aggregate_counts(codes, self._what)
+    def _running_counts(self, limit: int | None = None):
+        """Yield the flat running counts of the first limit trials (all if
+        None) after each _CHUNK of them and after the last."""
+        running = np.zeros(32, dtype=np.int64)
+        for codes in trialdata.read_trial_chunks(self._path, _CHUNK, limit):
+            running = running + aggregate_counts(codes, self._what).table.ravel()
+            yield running
+
+    def _tally(self, limit: int | None = None) -> np.ndarray:
+        """The marks of the first limit trials (all if None), counted in-process."""
+        return np.array([np.zeros(32, dtype=np.int64), *self._running_counts(limit)])
+
+    def _take_child_result(self) -> None:
+        """Take this file's marks, or the exception counting it raised, from
+        the forked child counting it, if one does."""
+        if self._child is not None:
+            found, self._child = self._child.result(self), None
+            if isinstance(found, Exception):
+                self._failure = found
+            elif found is not None:
+                self._marks = np.array([[0] * 32, *found], dtype=np.int64)
 
 
 # Fewest trials, in all, that _counting_ahead forks children to count;
@@ -418,19 +463,22 @@ _FORK_TRIALS = 1 << 25
 
 
 class _Child:
-    """A forked child counting a stripe of files, and the pipe its results
-    come through: per file in stripe order, one pickled list, the 32 counts
-    in flat order, or the exception counting the file raised."""
+    """A forked child counting a stripe of files, and the pipe its messages
+    come through: per file in stripe order, a list of the 32 running counts
+    after each chunk (a mark), then None once the file is counted, or the
+    exception counting it raised."""
 
     def __init__(self, pid: int, fd: int, stripe):
         self.pid = pid
         self.pipe = open(fd, "rb")
         self._unread = iter(stripe)
+        self._marks: list = []
         self._results: dict = {}
 
     def result(self, src):
-        """src's CountsTable or the exception counting it raised; None if
-        the child ended before sending it, so the caller counts it itself."""
+        """src's marks past the first (which is zero), or the exception
+        counting it raised; None if the child ended before it finished src,
+        so the caller counts it itself."""
         while src not in self._results:
             try:
                 found = pickle.load(self.pipe)
@@ -438,30 +486,43 @@ class _Child:
                 self._results.update(dict.fromkeys(self._unread))
                 break
             if isinstance(found, list):
-                found = CountsTable(np.reshape(found, (2, 2, 2, 2, 2)))
-            self._results[next(self._unread)] = found
+                self._marks.append(found)
+                continue
+            self._results[next(self._unread)] = self._marks if found is None else found
+            self._marks = []
         return self._results.pop(src)
+
+
+def _messages(src):
+    """What a child sends for src: each mark, then None, or the exception."""
+    try:
+        for running in src._running_counts():
+            yield running.tolist()
+    except Exception as exc:
+        yield exc
+    else:
+        yield None
 
 
 def _count_stripe(stripe, r: int, w: int, siblings) -> None:
     """A forked child's whole life: count stripe into pipe w, then _exit.
 
-    It leaves only through os._exit, so it never returns into its parent's
-    callers (a test runner, or a benchmark calling cli.main in-process).
-    It first closes the read ends it inherited, its own pipe's (r) and
-    its older siblings', so that each pipe's one reader is the parent."""
+    Each file is read and counted _CHUNK trials at a time into one reused
+    buffer, and each mark is sent as soon as its chunk is counted (see
+    _Child).  It leaves only through os._exit, so it never returns into its
+    parent's callers (a test runner, or a benchmark calling cli.main
+    in-process).  It first closes the read ends it inherited, its own
+    pipe's (r) and its older siblings', so that each pipe's one reader is
+    the parent."""
     try:
         os.close(r)
         for sibling in siblings:
             os.close(sibling.pipe.fileno())
         with open(w, "wb") as out:
             for src in stripe:
-                try:
-                    found = src._count().table.ravel().tolist()
-                except Exception as exc:
-                    found = exc
-                out.write(pickle.dumps(found))
-                out.flush()
+                for message in _messages(src):
+                    out.write(pickle.dumps(message))
+                    out.flush()
     finally:
         os._exit(0)
 
@@ -471,10 +532,12 @@ def _counting_ahead(sources):
     """Count the FileTrialSources in sources in forked children meanwhile.
 
     Each of at most _cpus() children counts a fixed stripe, sources[i::n],
-    in order, and a source's counts() takes its result when first needed:
-    an error surfaces where, and in the order, counting in-process raises
-    it.  Below _FORK_TRIALS trials in all, or without os.fork, nothing is
-    forked.  On leaving, every pipe is closed and every child reaped.
+    in order, and a source takes its marks, or the exception its count
+    raised, when first needed.  counts() raises that exception, so an error
+    surfaces where, and in the order, counting in-process raises it, while
+    prefix_counts() counts a prefix of a failed file in-process.  Below
+    _FORK_TRIALS trials in all, or without os.fork, nothing is forked.  On
+    leaving, every pipe is closed and every child reaped.
     """
     sources = [s for s in sources if isinstance(s, FileTrialSource)]
     if not hasattr(os, "fork") or sum(s.trials for s in sources) < _FORK_TRIALS:
@@ -604,10 +667,9 @@ def segment_and_analyze(
     fpi = params.files_per_instance
     out: list[AnalyzedInstance] = []
     pos = _first_instance_start(sources)
-    # Every error-free file before the last instance's block lands in a
-    # calibration window, so it is certain to be counted in full.
-    last = pos + (len(sources) - 1 - pos) // fpi * fpi
-    with _counting_ahead([s for s in sources[:last] if not s.error]):
+    # The files the run reads, in run order: the first window's, then every
+    # file from the first data file on.
+    with _counting_ahead([s for s in sources[:pos] if not s.error] + sources[pos:]):
         while pos < len(sources):
             block = sources[pos : pos + fpi]
             window = _window(sources, pos)

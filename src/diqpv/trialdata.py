@@ -27,6 +27,7 @@ labels), so D[ma, mp] is the 2x2 outcome block for one settings pair.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass
 
@@ -101,20 +102,44 @@ def _read_header(fh, path) -> tuple[int, bool]:
     return int(count), bool(flags & FLAG_DETECTOR_ERROR)
 
 
-def read_trial_codes(path, limit: int | None = None) -> tuple[np.ndarray, bool]:
+def read_trial_codes(path, limit: int | None = None, start: int = 0) -> tuple[np.ndarray, bool]:
     """Read a trial file; returns (payload as uint8 codes, detector_error).
 
     Codes are in CountsTable's flat order (unpack_codes gives records).
-    limit reads only the first trials, which stays cheap for prefix
-    truncation.  The bytes are not range-checked here: aggregate_counts
-    checks them as it counts, in the same pass."""
+    limit reads only the first trials, and start skips the first of those,
+    which keeps a prefix count cheap.  The bytes are not range-checked
+    here: aggregate_counts checks them as it counts, in the same pass."""
     with open(path, "rb") as fh:
         count, error = _read_header(fh, path)
         want = count if limit is None else min(int(limit), count)
-        payload = np.frombuffer(fh.read(want), dtype=np.uint8)
-    if payload.size != want:
-        raise ValueError(f"{path}: expected {want} trials, found {payload.size}")
+        start = min(start, want)
+        fh.seek(start, os.SEEK_CUR)
+        payload = np.frombuffer(fh.read(want - start), dtype=np.uint8)
+    if start + payload.size != want:
+        raise ValueError(f"{path}: expected {want} trials, found {start + payload.size}")
     return payload, error
+
+
+def read_trial_chunks(path, chunk: int, limit: int | None = None):
+    """Yield a trial file's first limit codes (all if None), chunk at a time.
+
+    Every chunk is a view of one reused buffer, valid until the next is
+    read, so reading holds at most chunk bytes of payload.  A file holding
+    fewer trials raises read_trial_codes's ValueError before the first
+    chunk; the bytes are not range-checked here."""
+    with open(path, "rb") as fh:
+        count, _ = _read_header(fh, path)
+        want = count if limit is None else min(int(limit), count)
+        have = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if have < want:
+            raise ValueError(f"{path}: expected {want} trials, found {have}")
+        buf = np.empty(min(chunk, want), dtype=np.uint8)
+        for start in range(0, want, chunk):
+            view = buf[: min(chunk, want - start)]
+            got = fh.readinto(view)
+            if got < view.size:  # the file shrank while it was read
+                raise ValueError(f"{path}: expected {want} trials, found {start + got}")
+            yield view
 
 
 def read_trial_header(path) -> tuple[int, bool]:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,15 @@ def golden_factor(golden_wlr, golden_lambda_duals, nu_uniform):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.Generator(np.random.Philox(key=20240919))
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail any test that leaves a child process unreaped, such as a forked
+    file counter its parent never waited for."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process unreaped (waitpid gave pid {pid})")

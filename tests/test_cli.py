@@ -493,13 +493,14 @@ def _analyze_outputs(capsys, run, out, flags):
 
 
 @pytest.mark.parametrize("flags, children", [
-    (["--trials-per-instance", "4000", "--delta-log2", "4"], 15),
-    (["--delta-log2", "4"], 15),
-    (["--mode", "entanglement", "--delta-log2", "4"], 13),
+    (["--trials-per-instance", "4000", "--delta-log2", "4"], 17),
+    (["--delta-log2", "4"], 17),
+    (["--mode", "entanglement", "--delta-log2", "4"], 17),
 ], ids=["basic-fixed-n", "basic-planned-n", "entanglement"])
 def test_forked_counting_matches_in_process(flagged_dir, tmp_path, capsys, monkeypatch,
                                             flags, children):
-    # children: the error-free files before the last instance's block.
+    # children: the files the run reads, the first window's ten and every
+    # file from the first data file on; all 17 in either mode.
     serial = _analyze_outputs(capsys, flagged_dir, tmp_path / "rep", flags)
     assert serial[0] in (0, 2) and len(serial[3]) >= 3
     pids = _fork_always(monkeypatch)
@@ -535,6 +536,104 @@ def test_forked_counting_raises_the_in_process_error(flagged_dir, tmp_path, caps
                 else f"{run / 'trials-0011.qpvt'}: expected 3000 trials, found 2990")
     assert rc == 1 and err == f"error: {expected}\n"
     _assert_no_child_left()
+
+
+@pytest.fixture(scope="module")
+def roles_dir(tmp_path_factory, ideal_config):
+    # At 4000 trials per instance the blocks are files 10-11, 12-13 and
+    # 14-15; each second file is scored by its first 1000 trials only, and
+    # file 13 carries the detector-error flag.
+    out = tmp_path_factory.mktemp("roles") / "run"
+    rc = main(["simulate", "--out", str(out), "--files", "16",
+               "--trials-per-file", "3000", "--config", str(ideal_config),
+               "--seed", "13", "--error-files", "13"])
+    assert rc == 0
+    return out
+
+
+@pytest.mark.parametrize("damage", ["bad-byte", "truncated", "both"])
+@pytest.mark.parametrize("role, index, fails", [
+    ("window-1", 4, True),
+    ("first-instance-second-file", 11, True),
+    ("last-instance-second-file", 15, False),
+    ("error-flagged-data-file", 13, False),
+])
+def test_forked_counting_keeps_the_outcome_of_damage_in_each_role(
+        roles_dir, tmp_path, capsys, monkeypatch, role, index, fails, damage):
+    # Damage lies past the first 1000 trials, so it fails the run only where
+    # a calibration window reads the file in full: files 4 and 11.
+    run = tmp_path / "run"
+    shutil.copytree(roles_dir, run)
+    path = run / f"trials-{index:04d}.qpvt"
+    data = bytearray(path.read_bytes())
+    if damage != "truncated":
+        data[14 + 2000] = 32
+    if damage != "bad-byte":
+        del data[-10:]
+    # A file both truncated and holding a bad byte fails on its length,
+    # before any byte is counted.
+    expected = (f"{path}: payload byte out of range 0..31" if damage == "bad-byte"
+                else f"{path}: expected 3000 trials, found 2990")
+    path.write_bytes(bytes(data))
+    flags = ["--trials-per-instance", "4000", "--delta-log2", "4"]
+    serial = _analyze_outputs(capsys, run, tmp_path / "rep", flags)
+    if fails:
+        assert serial[:3] == (1, "", f"error: {expected}\n") and serial[3] == {}
+    else:
+        rc, _, err, files = serial
+        assert rc in (0, 2) and err == ""
+        assert len(json.loads(files["report.json"])["instances"]) == 3
+    pids = _fork_always(monkeypatch)
+    limits = []
+    real_tally = protocol.FileTrialSource._tally
+
+    def tally(src, limit=None):
+        limits.append(limit)
+        return real_tally(src, limit)
+
+    monkeypatch.setattr(protocol.FileTrialSource, "_tally", tally)
+    assert _analyze_outputs(capsys, run, tmp_path / "rep", flags) == serial
+    # Small chunks: a child fails its file after sending some marks.
+    monkeypatch.setattr(protocol, "_CHUNK", 64)
+    assert _analyze_outputs(capsys, run, tmp_path / "rep", flags) == serial
+    assert pids
+    # In each forked run the parent counted the damaged file's scored
+    # prefix, if it has one, and never a whole file: a child's error is
+    # raised, not found again.
+    assert limits == ([] if role == "window-1" else [1000, 1000])
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trials-per-instance", "4000", "--delta-log2", "4"],
+    ["--mode", "entanglement", "--delta-log2", "4"],
+], ids=["basic", "entanglement"])
+def test_forked_counting_parent_counts_at_most_one_chunk_per_instance(
+        flagged_dir, tmp_path, capsys, monkeypatch, flags):
+    chunk = 64
+    serial = _analyze_outputs(capsys, flagged_dir, tmp_path / "rep", flags)
+    pids = _fork_always(monkeypatch)
+    monkeypatch.setattr(protocol, "_CHUNK", chunk)
+    counted, read = [], []
+    real_count, real_read = protocol.aggregate_counts, diqpv.trialdata.read_trial_codes
+
+    def count(codes, *args):
+        counted.append(len(codes))
+        return real_count(codes, *args)
+
+    def read_codes(*args):
+        codes, error = real_read(*args)
+        read.append(codes.size)
+        return codes, error
+
+    # Any count or read in the children lands in their copies of the lists.
+    monkeypatch.setattr(protocol, "aggregate_counts", count)
+    monkeypatch.setattr(diqpv.trialdata, "read_trial_codes", read_codes)
+    forked = _analyze_outputs(capsys, flagged_dir, tmp_path / "rep", flags)
+    assert forked == serial and pids
+    instances = len(json.loads(forked[3]["report.json"])["instances"])
+    assert instances >= 2
+    assert len(counted) <= instances and all(0 < t < chunk for t in counted)
+    assert read == counted
 
 
 def test_forked_counting_reaps_children_when_the_parent_raises(flagged_dir, tmp_path,

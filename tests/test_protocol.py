@@ -1,9 +1,14 @@
 import math
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diqpv import protocol
 from diqpv.errors import (
     AnalysisAbort,
     DegenerateDataError,
@@ -428,6 +433,41 @@ def test_file_source_matches_array_source(tmp_path, golden_sigma3, nu_uniform):
         fsrc.prefix_counts(1234).table, asrc.prefix_counts(1234).table
     )
     assert np.array_equal(fsrc.prefix_counts(9999).table, asrc.counts().table)
+
+
+@given(even=st.integers(0, 200), odd=st.integers(0, 200), extra=st.integers(0, 401),
+       seed=st.integers(0, 2**32 - 1))
+@settings(derandomize=True, max_examples=25, deadline=None)
+def test_prefix_counts_from_marks_match_counting_the_prefix(even, odd, extra, seed):
+    chunk = 64
+    rng = np.random.default_rng(seed)
+    codes = [rng.integers(0, 32, size=t, dtype=np.uint8) for t in (2 * even, 2 * odd + 1)]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        paths = [os.path.join(tmp, f"trials-{i:04d}.qpvt") for i in range(2)]
+        for path, c in zip(paths, codes):
+            write_trials(path, c)
+        mp.setattr(protocol, "_CHUNK", chunk)
+        mp.setattr(protocol, "_FORK_TRIALS", 0)
+
+        def check(sources):
+            for src, c in zip(sources, codes):
+                ks = {0, 1, chunk - 1, chunk, chunk + 1, c.size - 1, c.size, extra}
+                for k in sorted(k for k in ks if 0 <= k <= c.size):
+                    assert np.array_equal(src.prefix_counts(k).table,
+                                          aggregate_counts(c[:k]).table), (c.size, k)
+                assert np.array_equal(src.counts().table, aggregate_counts(c).table)
+
+        # In-process: prefixes counted directly, then again from the marks
+        # the full count leaves.
+        unforked = [FileTrialSource(p) for p in paths]
+        check(unforked)
+        check(unforked)
+        # Forked: every prefix comes from a child's marks, never from a
+        # count of the file in the parent.
+        forked = [FileTrialSource(p) for p in paths]
+        mp.setattr(FileTrialSource, "_tally", None)
+        with protocol._counting_ahead(forked):
+            check(forked)
 
 
 def test_e_value_soundness_in_bulk(golden_factor, nu_uniform):

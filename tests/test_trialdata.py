@@ -15,6 +15,7 @@ from diqpv.trialdata import (
     export_counts_csv,
     pack_records,
     read_counts_csv,
+    read_trial_chunks,
     read_trial_codes,
     read_trial_header,
     settings_weights,
@@ -100,6 +101,34 @@ def test_truncated_and_bad_magic(tmp_path):
     path.write_bytes(b"XXXX" + bytes(10))
     with pytest.raises(ValueError):
         read_trial_codes(path)
+
+
+def test_chunked_and_offset_reads_match_one_read(tmp_path):
+    codes = np.arange(1001, dtype=np.uint8) % 32
+    path = tmp_path / "t.qpvt"
+    write_trials(path, codes)
+    for limit in (None, 0, 1, 100, 999, 1001, 5000):
+        want = codes[:limit]
+        chunks = [c.copy() for c in read_trial_chunks(path, 64, limit)]
+        assert all(c.size == 64 for c in chunks[:-1]) and all(c.size for c in chunks)
+        assert np.array_equal(np.concatenate([np.empty(0, np.uint8), *chunks]), want)
+        for start in (0, 1, 64, 1000, 1001, 6000):
+            part, _ = read_trial_codes(path, limit, start)
+            assert np.array_equal(part, want[start:])
+
+
+def test_chunked_and_offset_reads_name_a_truncated_file(tmp_path):
+    path = tmp_path / "t.qpvt"
+    write_trials(path, np.zeros(300, dtype=np.uint8))
+    path.write_bytes(path.read_bytes()[:-10])
+    for limit, message in ((None, "expected 300 trials, found 290"),
+                           (295, "expected 295 trials, found 290")):
+        for read in (lambda: read_trial_codes(path, limit),
+                     lambda: read_trial_codes(path, limit, 128),
+                     lambda: next(read_trial_chunks(path, 64, limit))):
+            with pytest.raises(ValueError, match=f"t.qpvt: {message}$"):
+                read()
+    assert sum(c.size for c in read_trial_chunks(path, 64, 290)) == 290
 
 
 def test_aggregate_matches_bincount_and_is_permutation_invariant():
