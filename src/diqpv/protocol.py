@@ -14,9 +14,9 @@ ten most recent error-free files before it, and a final short instance
 uses whatever files remain.  Instances longer than n trials are truncated
 by discarding trials from the end; shorter ones are padded with neutral
 trials of factor 1.  Every file the run reads is counted once, ahead, in
-forked child processes while the caller calibrates; each child sends the
-running counts after every chunk of 2^20 trials, so an instance's partial
-last file costs the caller at most one chunk of its own reading.
+forked child processes while the caller calibrates; a child sends one
+result per file, the running counts after each chunk of 2^20 trials, so an
+instance's partial last file costs the caller at most one chunk of reading.
 """
 
 from __future__ import annotations
@@ -390,13 +390,13 @@ _CHUNK = 1 << 20
 class FileTrialSource:
     """Disk-backed trial source; reads the header eagerly, trials lazily.
 
-    A count reads the file _CHUNK trials at a time into one reused buffer.
-    A full count keeps its marks, the running counts after 0, _CHUNK,
-    2 _CHUNK, ... trials and after the last one, so prefix_counts(k) adds
-    marks[k // _CHUNK] to a count of fewer than _CHUNK trials, read through
-    trialdata.read_trial_codes (so a tracer patching it sees them).  While
-    _counting_ahead runs, the marks come from the forked child counting the
-    file; a prefix of a file without marks is counted in-process.
+    _tally reads the file _CHUNK trials at a time into one reused buffer and
+    returns its marks, the running counts after 0, _CHUNK, 2 _CHUNK, ...
+    trials and after the last one.  A full count keeps them, so
+    prefix_counts(k) adds marks[k // _CHUNK] to a count of fewer than _CHUNK
+    trials, read through trialdata.read_trial_codes (so a tracer patching it
+    sees them).  While _counting_ahead runs, the marks, or the exception, come
+    from the forked child's _tally; a file without marks is counted in-process.
     """
 
     def __init__(self, path):
@@ -404,57 +404,43 @@ class FileTrialSource:
         self.trials, self.error = read_trial_header(path)
         self.label = os.path.basename(os.fspath(path))
         self._what = f"{path}: payload byte"
-        # The marks, one flat row each, once the file is counted in full.
-        self._marks: np.ndarray | None = None
-        # The exception a forked child's count of this file raised.
-        self._failure: Exception | None = None
+        # The marks, one flat row each, once the file is counted in full; or
+        # the exception a forked child's count of the file raised.
+        self._counted: np.ndarray | Exception | None = None
         # The forked child counting this file ahead, until its result is taken.
         self._child: _Child | None = None
 
     def counts(self) -> CountsTable:
-        self._take_child_result()
-        if self._failure is not None:
-            raise self._failure
-        if self._marks is None:
-            self._marks = self._tally()
-        return CountsTable(self._marks[-1].reshape(2, 2, 2, 2, 2))
+        if self._child is not None:
+            self._child.take(self)
+        if isinstance(self._counted, Exception):
+            raise self._counted
+        if self._counted is None:
+            self._counted = self._tally()
+        return CountsTable(self._counted[-1].reshape(2, 2, 2, 2, 2))
 
     def prefix_counts(self, k: int) -> CountsTable:
         """Counts of the first k trials: the cached counts() once k >= trials."""
         if k >= self.trials:
             return self.counts()
-        self._take_child_result()
-        if self._marks is None:
+        if self._child is not None:
+            self._child.take(self)
+        if not isinstance(self._counted, np.ndarray):
             flat = self._tally(k)[-1]
         else:
             start = k - k % _CHUNK
-            flat = self._marks[start // _CHUNK]
+            flat = self._counted[start // _CHUNK]
             if start < k:
                 codes, _ = trialdata.read_trial_codes(self._path, k, start)
                 flat = flat + aggregate_counts(codes, self._what).table.ravel()
         return CountsTable(flat.reshape(2, 2, 2, 2, 2))
 
-    def _running_counts(self, limit: int | None = None):
-        """Yield the flat running counts of the first limit trials (all if
-        None) after each _CHUNK of them and after the last."""
-        running = np.zeros(32, dtype=np.int64)
-        for codes in trialdata.read_trial_chunks(self._path, _CHUNK, limit):
-            running = running + aggregate_counts(codes, self._what).table.ravel()
-            yield running
-
     def _tally(self, limit: int | None = None) -> np.ndarray:
-        """The marks of the first limit trials (all if None), counted in-process."""
-        return np.array([np.zeros(32, dtype=np.int64), *self._running_counts(limit)])
-
-    def _take_child_result(self) -> None:
-        """Take this file's marks, or the exception counting it raised, from
-        the forked child counting it, if one does."""
-        if self._child is not None:
-            found, self._child = self._child.result(self), None
-            if isinstance(found, Exception):
-                self._failure = found
-            elif found is not None:
-                self._marks = np.array([[0] * 32, *found], dtype=np.int64)
+        """The marks of the first limit trials (all if None)."""
+        marks = [np.zeros(32, dtype=np.int64)]
+        for codes in trialdata.read_trial_chunks(self._path, _CHUNK, limit):
+            marks.append(marks[-1] + aggregate_counts(codes, self._what).table.ravel())
+        return np.array(marks)
 
 
 # Fewest trials, in all, that _counting_ahead forks children to count;
@@ -463,54 +449,37 @@ _FORK_TRIALS = 1 << 25
 
 
 class _Child:
-    """A forked child counting a stripe of files, and the pipe its messages
-    come through: per file in stripe order, a list of the 32 running counts
-    after each chunk (a mark), then None once the file is counted, or the
-    exception counting it raised."""
+    """A forked child counting a stripe of files, and the pipe its results
+    come through: one pickle per file, in stripe order, of the marks _tally
+    returned or the exception it raised."""
 
     def __init__(self, pid: int, fd: int, stripe):
         self.pid = pid
         self.pipe = open(fd, "rb")
         self._unread = iter(stripe)
-        self._marks: list = []
-        self._results: dict = {}
 
-    def result(self, src):
-        """src's marks past the first (which is zero), or the exception
-        counting it raised; None if the child ended before it finished src,
-        so the caller counts it itself."""
-        while src not in self._results:
+    def take(self, src) -> None:
+        """Read results up to src's, setting each on its source.  If the
+        child ended first, src and the rest of its stripe keep none, so
+        they are counted in-process."""
+        for done in self._unread:
+            done._child = None
             try:
-                found = pickle.load(self.pipe)
+                done._counted = pickle.load(self.pipe)
             except (EOFError, pickle.UnpicklingError):  # the child ended early
-                self._results.update(dict.fromkeys(self._unread))
-                break
-            if isinstance(found, list):
-                self._marks.append(found)
-                continue
-            self._results[next(self._unread)] = self._marks if found is None else found
-            self._marks = []
-        return self._results.pop(src)
-
-
-def _messages(src):
-    """What a child sends for src: each mark, then None, or the exception."""
-    try:
-        for running in src._running_counts():
-            yield running.tolist()
-    except Exception as exc:
-        yield exc
-    else:
-        yield None
+                for rest in self._unread:
+                    rest._child = None
+                return
+            if done is src:
+                return
 
 
 def _count_stripe(stripe, r: int, w: int, siblings) -> None:
     """A forked child's whole life: count stripe into pipe w, then _exit.
 
-    Each file is read and counted _CHUNK trials at a time into one reused
-    buffer, and each mark is sent as soon as its chunk is counted (see
-    _Child).  It leaves only through os._exit, so it never returns into its
-    parent's callers (a test runner, or a benchmark calling cli.main
+    Each file is counted by _tally and its result sent once it is counted
+    (see _Child).  It leaves only through os._exit, so it never returns into
+    its parent's callers (a test runner, or a benchmark calling cli.main
     in-process).  It first closes the read ends it inherited, its own
     pipe's (r) and its older siblings', so that each pipe's one reader is
     the parent."""
@@ -520,9 +489,12 @@ def _count_stripe(stripe, r: int, w: int, siblings) -> None:
             os.close(sibling.pipe.fileno())
         with open(w, "wb") as out:
             for src in stripe:
-                for message in _messages(src):
-                    out.write(pickle.dumps(message))
-                    out.flush()
+                try:
+                    result = src._tally()
+                except Exception as exc:
+                    result = exc
+                out.write(pickle.dumps(result))
+                out.flush()
     finally:
         os._exit(0)
 
@@ -536,7 +508,8 @@ def _counting_ahead(sources):
     raised, when first needed.  counts() raises that exception, so an error
     surfaces where, and in the order, counting in-process raises it, while
     prefix_counts() counts a prefix of a failed file in-process.  Below
-    _FORK_TRIALS trials in all, or without os.fork, nothing is forked.  On
+    _FORK_TRIALS trials in all, or without os.fork, nothing is forked; if a
+    pipe or a fork fails, the files left are counted in-process.  On
     leaving, every pipe is closed and every child reaped.
     """
     sources = [s for s in sources if isinstance(s, FileTrialSource)]
@@ -547,7 +520,7 @@ def _counting_ahead(sources):
     children: list[_Child] = []
     try:
         for i in range(n):
-            r, w = os.pipe()
+            pipe = ()
             # Python 3.12 warns that forking a multi-threaded process (numpy's
             # BLAS threads count) may deadlock the child in a lock another
             # thread held.  This child only reads, counts, pickles and calls
@@ -557,11 +530,13 @@ def _counting_ahead(sources):
                 warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
                                         DeprecationWarning)
                 try:
+                    pipe = os.pipe()
                     pid = os.fork()
                 except OSError:  # the rest are counted in-process
-                    os.close(r)
-                    os.close(w)
+                    for fd in pipe:
+                        os.close(fd)
                     break
+            r, w = pipe
             if pid == 0:
                 _count_stripe(sources[i::n], r, w, children)
             os.close(w)

@@ -9,13 +9,16 @@ expected exit codes and file layouts are reproducible.
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import json
 import math
 import os
+import pickle
 import shutil
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -593,7 +596,7 @@ def test_forked_counting_keeps_the_outcome_of_damage_in_each_role(
 
     monkeypatch.setattr(protocol.FileTrialSource, "_tally", tally)
     assert _analyze_outputs(capsys, run, tmp_path / "rep", flags) == serial
-    # Small chunks: a child fails its file after sending some marks.
+    # Small chunks: a child counts some chunks of its file before the damage fails it.
     monkeypatch.setattr(protocol, "_CHUNK", 64)
     assert _analyze_outputs(capsys, run, tmp_path / "rep", flags) == serial
     assert pids
@@ -656,15 +659,63 @@ def test_forked_counting_reaps_children_when_the_parent_raises(flagged_dir, tmp_
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("end, taken", [
+    ("before-any-result", 0), ("after-one-result", 1), ("inside-the-second-result", 1),
+], ids=["before-any-result", "after-one-result", "inside-the-second-result"])
 def test_forked_counting_counts_in_process_after_a_child_dies(flagged_dir, tmp_path, capsys,
-                                                             monkeypatch):
+                                                             monkeypatch, end, taken):
+    flags = ["--trials-per-instance", "4000", "--delta-log2", "4"]
+    limits = []
+    real_tally, real_count_stripe = protocol.FileTrialSource._tally, protocol._count_stripe
+
+    def tally(src, limit=None):
+        limits.append(limit)
+        return real_tally(src, limit)
+
+    def count_stripe(stripe, *args):
+        # Runs in the child only, so what it patches dies with it.
+        if end == "before-any-result":
+            os._exit(0)
+        if end == "inside-the-second-result":
+            # The first result goes out whole, then half of the second's pickle.
+            sent = []
+
+            def dumps(result):
+                sent.append(pickle.dumps(result))
+                return sent[-1][: len(sent[-1]) // 2] if len(sent) == 2 else sent[-1]
+
+            protocol.pickle = types.SimpleNamespace(dumps=dumps)
+        real_count_stripe(stripe[: 1 if end == "after-one-result" else 2], *args)
+
+    monkeypatch.setattr(protocol.FileTrialSource, "_tally", tally)
+    serial = _analyze_outputs(capsys, flagged_dir, tmp_path / "rep", flags)
+    whole, limits[:] = limits.count(None), []
+    pids = _fork_always(monkeypatch)
+    monkeypatch.setattr(protocol, "_cpus", lambda: 2)
+    monkeypatch.setattr(protocol, "_count_stripe", count_stripe)
+    assert _analyze_outputs(capsys, flagged_dir, tmp_path / "rep", flags) == serial
+    # Each child's complete results are used, and no more.
+    assert len(pids) == 2 and limits.count(None) == whole - 2 * taken
+    _assert_no_child_left()
+
+
+def test_forked_counting_counts_in_process_when_a_pipe_fails(flagged_dir, tmp_path, capsys,
+                                                            monkeypatch):
     flags = ["--trials-per-instance", "4000", "--delta-log2", "4"]
     serial = _analyze_outputs(capsys, flagged_dir, tmp_path / "rep", flags)
     pids = _fork_always(monkeypatch)
-    # Each child exits before it sends a single result.
-    monkeypatch.setattr(protocol, "_count_stripe", lambda *args: os._exit(0))
+    monkeypatch.setattr(protocol, "_cpus", lambda: 2)
+    real_pipe, pipes = os.pipe, []
+
+    def pipe():
+        pipes.append(1)
+        if len(pipes) == 2:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real_pipe()
+
+    monkeypatch.setattr(os, "pipe", pipe)
     assert _analyze_outputs(capsys, flagged_dir, tmp_path / "rep", flags) == serial
-    assert pids
+    assert len(pids) == 1 and len(pipes) == 2
     _assert_no_child_left()
 
 

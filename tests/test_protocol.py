@@ -463,11 +463,20 @@ def test_prefix_counts_from_marks_match_counting_the_prefix(even, odd, extra, se
         check(unforked)
         check(unforked)
         # Forked: every prefix comes from a child's marks, never from a
-        # count of the file in the parent.
+        # count of the file in the parent.  A child records its own _tally
+        # calls in its own copy of the list.
         forked = [FileTrialSource(p) for p in paths]
-        mp.setattr(FileTrialSource, "_tally", None)
+        tallied = []
+        real_tally = FileTrialSource._tally
+
+        def tally(src, limit=None):
+            tallied.append((src.label, limit))
+            return real_tally(src, limit)
+
+        mp.setattr(FileTrialSource, "_tally", tally)
         with protocol._counting_ahead(forked):
             check(forked)
+        assert tallied == []
 
 
 def test_e_value_soundness_in_bulk(golden_factor, nu_uniform):
