@@ -23,6 +23,18 @@ polish) ends at the first of three stops: the Newton decrement squared
 falls below 1e-12 (1e-16 in polish), a step leaves x bitwise unchanged,
 or the backtracking line search fails.  Each step is a deterministic
 function of x, so a step that leaves x unchanged would repeat to the cap.
+
+Line search: the full step alpha = min(1, 0.99 alpha_max) is tried alone.
+If it fails, every shorter step alpha 2^-j above 1e-18 is evaluated in one
+stacked product, and the first one that keeps every slack positive and
+raises the objective by at least a quarter of its length times the
+squared decrement is taken; if none does, the line search fails.  That
+is the step a loop halving alpha one trial at a time would take, bit for
+bit: halving is exact, the step candidates are
+elementwise, np.matmul runs the same BLAS gemv per stacked candidate as
+``a @ x`` does for one and the same dot as ``k @ log(s)`` (a gemm such as
+``xs @ a.T`` rounds differently), and the accepted point's slacks and
+objective carry into the next step unchanged.
 """
 
 from __future__ import annotations
@@ -30,17 +42,20 @@ from __future__ import annotations
 import numpy as np
 
 _T_MAX = 1e13
+# 2^-j for j = 1..59: alpha 2^-j > 1e-18 needs j <= 59 when alpha <= 1.
+_HALVINGS = np.ldexp(1.0, -np.arange(1, 60))
 
 
 class SmoothSolveError(RuntimeError):
     pass
 
 
-def _newton_loop(x, slacks_fn, k, a, steps, tol):
-    """Maximize sum_j k_j log s_j(x); returns (x, iterations_used)."""
+def _newton_loop(x, a, b, k, steps, tol):
+    """Maximize sum_j k_j log(a_j . x + b_j); returns (x, iterations_used)."""
+    s = a @ x + b
+    f = float(k @ np.log(s))
     used = 0
     for _ in range(steps):
-        s = slacks_fn(x)
         g = (k / s) @ a
         h = (a * (k / s**2)[:, None]).T @ a
         try:
@@ -59,18 +74,46 @@ def _newton_loop(x, slacks_fn, k, a, steps, tol):
         shrink = ad < 0
         alpha_max = np.inf if not shrink.any() else float((-s[shrink] / ad[shrink]).min())
         alpha = min(1.0, 0.99 * alpha_max)
-        base = float(k @ np.log(s))
-        while alpha > 1e-18:
-            s_new = slacks_fn(x + alpha * d)
-            if (s_new > 0).all() and float(k @ np.log(s_new)) >= base + 0.25 * alpha * decrement:
-                break
-            alpha *= 0.5
-        x_new = x + alpha * d
-        if alpha <= 1e-18 or np.array_equal(x_new, x):
+        if alpha <= 1e-18:
             break
-        x = x_new
+        x_new = x + alpha * d
+        s_new = a @ x_new + b
+        f_new = float(k @ np.log(s_new)) if (s_new > 0).all() else None
+        if f_new is None or not f_new >= f + 0.25 * alpha * decrement:
+            shorter = _backtrack(x, d, a, b, k, f, alpha * _HALVINGS, decrement)
+            if shorter is None:
+                break
+            x_new, s_new, f_new = shorter
+        if np.array_equal(x_new, x):
+            break
+        x, s, f = x_new, s_new, f_new
         used += 1
     return x, used
+
+
+def _backtrack(x, d, a, b, k, f, alphas, decrement):
+    """(x, slacks, objective) at the first step length in alphas above
+    1e-18 with positive slacks and sufficient increase, or None."""
+    alphas = alphas[alphas > 1e-18]
+    xs = x + alphas[:, None] * d
+    ss = _stacked_slacks(a, b, xs)
+    ok = np.flatnonzero((ss > 0).all(axis=1))
+    fs = _stacked_objectives(k, ss[ok])
+    hits = np.flatnonzero(fs >= f + 0.25 * alphas[ok] * decrement)
+    if not hits.size:
+        return None
+    j = ok[hits[0]]
+    return xs[j], ss[j], float(fs[hits[0]])
+
+
+def _stacked_slacks(a, b, xs):
+    """a @ x + b for each row x of xs, by one gemv per row."""
+    return np.matmul(a, xs[:, :, None])[:, :, 0] + b
+
+
+def _stacked_objectives(k, ss):
+    """k @ log(s) for each row s of ss, by one dot per row."""
+    return np.matmul(np.log(ss)[:, None, :], k[:, None])[:, 0, 0]
 
 
 def maximize_log_affine(weights, a, b, x0):
@@ -95,7 +138,7 @@ def maximize_log_affine(weights, a, b, x0):
     t = 16.0
     while True:
         k = t * w + 1.0
-        x, _ = _newton_loop(x, slacks, k, a, steps=200, tol=1e-12)
+        x, _ = _newton_loop(x, a, b, k, steps=200, tol=1e-12)
         if t >= _T_MAX:
             break
         t = min(t * 20.0, _T_MAX)
@@ -124,13 +167,9 @@ def maximize_log_affine(weights, a, b, x0):
         a_red = a[keep] @ nullb
         k_red = w[keep]
         b_off = slacks(x)[keep]
-
-        def red_slacks(psi, base=b_off, mat=a_red):
-            return base + mat @ psi
-
         psi = np.zeros(nullb.shape[1])
-        psi, _ = _newton_loop(psi, red_slacks, k_red, a_red, steps=100, tol=1e-16)
+        psi, _ = _newton_loop(psi, a_red, b_off, k_red, steps=100, tol=1e-16)
         x = x + nullb @ psi
     else:
-        x, _ = _newton_loop(x, slacks, w, a, steps=100, tol=1e-16)
+        x, _ = _newton_loop(x, a, b, w, steps=100, tol=1e-16)
     return x

@@ -371,14 +371,20 @@ def achievable_rth(
 
     Maximizes over the mixing weight the rate whose threshold the CLT
     margin still clears; 0 where n < 1 or even r_th = 0 is out of reach.
+    The n x grid table is evaluated 16 rows at a time, so its temporaries
+    stay in cache; each entry is the same expression either way.
     """
     n = np.asarray(n)
     w_flat, probs, deficit, big, z, lo, hi = _mixing_setup(tf, sigma3, delta, epsilon)
     grid = np.linspace(lo, hi, 2000)
     g, v = _mixed_gain_variance(w_flat, probs, grid)
     m = np.maximum(n, 1)[:, None]
-    slack_bits = g - (big + z * np.sqrt(m * v)) / m
-    rates = (slack_bits * LN2 / (grid * deficit)).max(axis=1)
+    scale = grid * deficit
+    rates = np.empty(len(m))
+    for i in range(0, len(m), 16):
+        mb = m[i:i + 16]
+        slack_bits = g - (big + z * np.sqrt(mb * v)) / mb
+        rates[i:i + 16] = (slack_bits * LN2 / scale).max(axis=1)
     return np.where((n >= 1) & (rates > 0.0), rates, 0.0)
 
 

@@ -11,9 +11,11 @@ stopping when a step leaves x unchanged, and float draws looked up in the
 cell CDF instead of integer thresholds and a bucket table, the weak-duality
 bound summed in fractions.Fraction instead of integers over one common
 denominator, scipy's HiGHS dual simplex instead of the package's own
-tableau simplex, and one closed-form sizing pass per region and dimension
-instead of one pass for all three.  Tests freeze these as the definition
-of correct.
+tableau simplex, one closed-form sizing pass per region and dimension
+instead of one pass for all three, a barrier line search that tries one
+step length at a time instead of all of them in one stacked product, and
+the achievable-rate grid in one piece instead of in blocks of rows.  Tests
+freeze these as the definition of correct.
 """
 
 import math
@@ -718,3 +720,127 @@ def maximize_log_affine_budgeted(weights, a, b, x0):
             x, slacks, w, a, steps=100, tol=1e-16, budget=budget
         )
     return x
+
+
+# Barrier solver whose line search tries one step length at a time
+
+
+def _sequential_newton_loop(x, slacks_fn, k, a, steps, tol):
+    """Maximize sum_j k_j log s_j(x); returns (x, iterations_used)."""
+    used = 0
+    for _ in range(steps):
+        s = slacks_fn(x)
+        g = (k / s) @ a
+        h = (a * (k / s**2)[:, None]).T @ a
+        try:
+            d = np.linalg.solve(h, g)
+        except np.linalg.LinAlgError:
+            d = np.linalg.lstsq(h, g, rcond=None)[0]
+        decrement = float(g @ d)
+        if not np.isfinite(decrement) or decrement <= 0:
+            d = g / max(1.0, np.linalg.norm(g))
+            decrement = float(g @ d)
+            if decrement <= 0:
+                break
+        if decrement / 2 <= tol:
+            break
+        ad = a @ d
+        shrink = ad < 0
+        alpha_max = np.inf if not shrink.any() else float((-s[shrink] / ad[shrink]).min())
+        alpha = min(1.0, 0.99 * alpha_max)
+        base = float(k @ np.log(s))
+        while alpha > 1e-18:
+            s_new = slacks_fn(x + alpha * d)
+            if (s_new > 0).all() and float(k @ np.log(s_new)) >= base + 0.25 * alpha * decrement:
+                break
+            alpha *= 0.5
+        x_new = x + alpha * d
+        if alpha <= 1e-18 or np.array_equal(x_new, x):
+            break
+        x = x_new
+        used += 1
+    return x, used
+
+
+def maximize_log_affine_sequential(weights, a, b, x0):
+    """Run the barrier path plus polish; returns the maximizer.
+
+    weights, a, b describe the rows (see ``diqpv._smooth``); x0 must be
+    strictly feasible.  The package's solver before its line search was
+    stacked, verbatim but for names: each backtracking trial is its own
+    slack closure call and objective, one after another.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    x = np.asarray(x0, dtype=np.float64).copy()
+    if (w < 0).any():
+        raise ValueError("row weights must be nonnegative")
+
+    def slacks(v):
+        return a @ v + b
+
+    if (slacks(x) <= 0).any():
+        raise RuntimeError("starting point is not strictly feasible")
+
+    t = 16.0
+    while True:
+        k = t * w + 1.0
+        x, _ = _sequential_newton_loop(x, slacks, k, a, steps=200, tol=1e-12)
+        if t >= 1e13:
+            break
+        t = min(t * 20.0, 1e13)
+
+    # Polish: drop the barrier.  Constraint rows whose slack collapsed along
+    # the path are pinned as equalities (Newton in the nullspace of their
+    # rows); everything else keeps weight w_j, so zero-weight rows still
+    # guard the line search without entering the Newton model.
+    s = slacks(x)
+    scale = max(1.0, float(np.abs(b).max()))
+    active = (w == 0) & (s < 1e-6 * scale)
+    if active.any():
+        a_act = a[active]
+        # Project exactly onto the active facet before walking it.
+        corr = a_act.T @ np.linalg.lstsq(a_act @ a_act.T, s[active], rcond=None)[0]
+        x_f = x - corr
+        if (slacks(x_f)[~active] <= 0).any():
+            return x  # projection left the cone; the barrier point stands
+        x = x_f
+        _, sv, vt = np.linalg.svd(a_act, full_matrices=True)
+        rank = int((sv > 1e-12 * max(1.0, sv[0] if sv.size else 1.0)).sum())
+        nullb = vt[rank:].T
+        if nullb.shape[1] == 0:
+            return x
+        keep = ~active
+        a_red = a[keep] @ nullb
+        k_red = w[keep]
+        b_off = slacks(x)[keep]
+
+        def red_slacks(psi, base=b_off, mat=a_red):
+            return base + mat @ psi
+
+        psi = np.zeros(nullb.shape[1])
+        psi, _ = _sequential_newton_loop(psi, red_slacks, k_red, a_red, steps=100, tol=1e-16)
+        x = x + nullb @ psi
+    else:
+        x, _ = _sequential_newton_loop(x, slacks, w, a, steps=100, tol=1e-16)
+    return x
+
+
+# Largest testable entanglement threshold over the whole trial-count x
+# mixing-weight grid in one piece
+
+
+def achievable_rth_unblocked(tf, sigma3, n, delta, epsilon):
+    """``protocol.achievable_rth`` with every row of its grid evaluated at
+    once: the package's expression before it was split into blocks of rows."""
+    from diqpv.protocol import LN2, _mixed_gain_variance, _mixing_setup
+
+    n = np.asarray(n)
+    w_flat, probs, deficit, big, z, lo, hi = _mixing_setup(tf, sigma3, delta, epsilon)
+    grid = np.linspace(lo, hi, 2000)
+    g, v = _mixed_gain_variance(w_flat, probs, grid)
+    m = np.maximum(n, 1)[:, None]
+    slack_bits = g - (big + z * np.sqrt(m * v)) / m
+    rates = (slack_bits * LN2 / (grid * deficit)).max(axis=1)
+    return np.where((n >= 1) & (rates > 0.0), rates, 0.0)

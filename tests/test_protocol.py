@@ -32,11 +32,18 @@ from diqpv.protocol import (
 )
 from diqpv.estimation import cell_probabilities
 from diqpv.simulator import HonestProverModel, honest_distribution
-from diqpv.testfactor import certified_factor, certify, gain_variance, wbar_min
+from diqpv.testfactor import (
+    certified_factor,
+    certify,
+    gain_variance,
+    mix_with_unity,
+    mixing_cap,
+    wbar_min,
+)
 from diqpv.trialdata import CountsTable, aggregate_counts, pack_records, write_trials
 
 from helpers import ArrayTrialSource
-from oracles import factor_value, kahan_sum, p_succ
+from oracles import achievable_rth_unblocked, factor_value, kahan_sum, p_succ
 
 
 def _honest_codes(golden_sigma3, nu_uniform, count, key):
@@ -295,6 +302,25 @@ def test_achievable_quantities_consistent(golden_factor, golden_sigma3):
     assert r >= 8e-6 * (1.0 - 1e-5)  # grid search sits a hair under the optimum
     r_small = achievable_rth(golden_factor, golden_sigma3, [plan.n // 4], 2**-64, 0.97725)[0]
     assert r_small < r
+
+
+@pytest.mark.parametrize("length", [1, 15, 16, 17, 200])
+def test_achievable_rth_blocks_match_the_unblocked_grid(golden_factor, golden_sigma3, length):
+    # The golden factor's mixing weight is limited by its own cap
+    # 1 / (1 - min w); the lightly mixed one's by the planner's cap of 1e6.
+    light = mix_with_unity(golden_factor, 1e-7)
+    assert mixing_cap(golden_factor) < 1e6 < mixing_cap(light)
+    rng = np.random.Generator(np.random.Philox(key=length))
+    n = rng.integers(1, 10**10, size=length)
+    some_below_one = n.copy()
+    some_below_one[::5] = rng.integers(-3, 1, size=len(n[::5]))
+    for tf in (golden_factor, light):
+        for trials in (n, some_below_one):
+            got = achievable_rth(tf, golden_sigma3, trials, 2**-64, 0.97725)
+            want = achievable_rth_unblocked(tf, golden_sigma3, trials, 2**-64, 0.97725)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert (got[trials < 1] == 0.0).all()
+    assert (achievable_rth(golden_factor, golden_sigma3, n, 2**-64, 0.97725) > 0).any()
 
 
 def _sources(golden_sigma3, nu_uniform, sizes, errors=(), key=71):
