@@ -377,6 +377,8 @@ def cmd_geometry(args) -> int:
     tg = _timing_from_arg(args.config)
     spec = region_spec(tg)
     dims = (1, 2, 3) if args.dim == "all" else (int(args.dim),)
+    if args.mc_outer < 1:
+        raise ValueError("mc_outer must be at least 1")
     os.makedirs(args.out, exist_ok=True)
 
     results = quantum_advantages(tg, dims, mc_outer=args.mc_outer, seed=args.seed)

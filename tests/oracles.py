@@ -13,8 +13,9 @@ bound summed in fractions.Fraction instead of integers over one common
 denominator, scipy's HiGHS dual simplex instead of the package's own
 tableau simplex, one closed-form sizing pass per region and dimension
 instead of one pass for all three, a barrier line search that tries one
-step length at a time instead of all of them in one stacked product, and
-the achievable-rate grid in one piece instead of in blocks of rows.  Tests
+step length at a time instead of all of them in one stacked product, the
+achievable-rate grid in one piece instead of in blocks of rows, and every
+parameter draw sized in one pass instead of in blocks of draws.  Tests
 freeze these as the definition of correct.
 """
 
@@ -602,6 +603,67 @@ def measure_per_dim(region: str, dim: int, ra, rb, s_ab, s_ba, d=1.0):
     else:
         parts = math.pi * kk * (ur - ul) * (rr * rr - (ur * ur + ur * ul + ul * ul) / 3.0)
     return lo, hi, parts.sum(axis=0)
+
+
+# Region sizing over every parameter draw in one pass, before the draws were
+# split into blocks
+
+
+def measure_unblocked(region: str, dims, ra, rb, s_ab, s_ba, d=1.0):
+    """Axis support (lo, hi) and exact sizes {dim: size}, length included, for arrays of draws.
+
+    lo > hi where the region misses the station axis, and its size is 0.
+    The cross-section at x is |rho| <= sqrt(min_i f_i(x)) with each f_i a
+    quadratic (see _chords), so between consecutive breakpoints (the
+    support ends and every pairwise crossing of the f_i) one constraint is
+    active and the area or volume integrates in closed form.  Every dim in
+    dims above 1 shares the breakpoints; only the integrands differ.
+    """
+    from diqpv.geometry import _chords
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k, r, x0 = _chords(region, ra, rb, s_ab, s_ba, d)
+        reach = k >= 0.0
+        lo = np.where(reach, x0 - r, np.inf).max(axis=0)
+        hi = np.where(reach, x0 + r, -np.inf).min(axis=0)
+        empty = ~(lo <= hi)
+        a, b = np.where(empty, 0.0, lo), np.where(empty, 0.0, hi)
+        sizes = {1: b - a}
+        if max(dims) == 1:
+            return lo, hi, sizes
+        k = np.where(empty, 0.0, k)
+        points = [a, b]
+        for i in range(len(k)):
+            for j in range(i + 1, len(k)):
+                # f_i - f_j = qa x^2 + qb x + qc, solved in the stable form.
+                qa = k[j] - k[i]
+                qb = 2.0 * (k[i] * x0[i] - k[j] * x0[j])
+                qc = k[i] * (r[i] ** 2 - x0[i] ** 2) - k[j] * (r[j] ** 2 - x0[j] ** 2)
+                q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+                points += [q / qa, qc / q]
+        x = np.clip(np.array(points), a, b)
+        x = np.sort(np.where(np.isnan(x), a, x), axis=0)
+        mid = 0.5 * (x[1:] + x[:-1])
+        active = (k[:, None] * (r[:, None] ** 2 - (mid - x0[:, None]) ** 2)).argmin(axis=0)
+        kk, rr, cc = (np.take_along_axis(v[:, None], active[None], 0)[0] for v in (k, r, x0))
+        ul, ur = x[:-1] - cc, x[1:] - cc
+        # A subnormal radius overflows u / r in _antiderivative_2d; the
+        # clipped ratio is still right.
+        if 2 in dims:
+            sizes[2] = (np.sqrt(kk) * (_antiderivative_2d(ur, rr) - _antiderivative_2d(ul, rr))).sum(0)
+        if 3 in dims:
+            shell = rr * rr - (ur * ur + ur * ul + ul * ul) / 3.0
+            sizes[3] = (math.pi * kk * (ur - ul) * shell).sum(0)
+    return lo, hi, sizes
+
+
+def axis_interval(region: str, spec) -> tuple[float, float]:
+    """Closed-form intersection (lo, hi) of "quantum", "lens_a" or "lens_b"
+    with the station axis: empty when lo > hi, and (inf, -inf) when a sum
+    cap below the station separation makes the region empty."""
+    from diqpv.geometry import _spec_measure
+
+    return _spec_measure(region, spec)[:2]
 
 
 # Barrier solver with a global step budget and tread-water acceptance

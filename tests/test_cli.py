@@ -33,6 +33,7 @@ from golden import (
     behavior_array,
     factor_array,
 )
+from oracles import measure_unblocked
 import diqpv
 import diqpv.polytopes
 from diqpv import __version__, protocol
@@ -994,7 +995,7 @@ def test_geometry_rejects_mc_outer_below_one(tmp_path, capsys, mc_outer):
     out = tmp_path / "geo"
     assert main(["geometry", "--out", str(out), "--mc-outer", mc_outer]) == 1
     assert "error: mc_outer must be at least 1" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_geometry_seeded_report(tmp_path):
@@ -1047,6 +1048,49 @@ def test_geometry_outputs_match_pinned_digests(tmp_path):
     files["report.json"] = raw.replace(json.dumps(str(out)).encode(), b'"OUT"')
     for name, digest in _PINNED_GEOMETRY.items():
         assert hashlib.sha256(files[name]).hexdigest() == digest, name
+
+
+# Timing surveys for the byte-identity gate besides the bundled one: a sum
+# cap just above the separation, and a round trip at A so short that over
+# 1% of quantum regions are empty (EmptyRegionError in every dim).
+_GATE_CONFIGS = {
+    "tight-cap": {"s_vap_ns": 0.0, "s_vb_ns": 100.0, "r_vap_ns": 400.0, "r_vb_ns": 500.0,
+                  "d_sep_m": 87.36, "d_sep_sigma_m": 1.0},
+    "mostly-empty": {"s_vap_ns": 1000.0, "s_vb_ns": 1000.0, "r_vap_ns": 1000.1,
+                     "r_vb_ns": 2000.0, "d_sep_m": 50.0, "r_vap_sigma_ns": 0.5},
+}
+
+
+@pytest.mark.parametrize("config, dim, seed", [
+    *(("bundled", dim, seed) for dim in ("1", "2", "3", "all") for seed in ("1", "7")),
+    ("tight-cap", "all", "1"),
+    ("mostly-empty", "all", "1"),
+])
+def test_geometry_blocked_outputs_match_unblocked_oracle(tmp_path, monkeypatch, capsys,
+                                                         config, dim, seed):
+    out = tmp_path / "geo"
+    argv = ["geometry", "--out", str(out), "--dim", dim, "--seed", seed,
+            "--mc-outer", "20000"]  # spans the 8192-draw block edge twice
+    if config != "bundled":
+        cfg = tmp_path / "timing.json"
+        cfg.write_text(json.dumps(_GATE_CONFIGS[config]))
+        argv += ["--config", str(cfg)]
+
+    def run():
+        code = main(argv)
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        shutil.rmtree(out)
+        return code, capsys.readouterr(), files
+
+    blocked = run()
+    with monkeypatch.context() as mp:
+        mp.setattr("diqpv.geometry._measure_blocks", measure_unblocked)
+        assert run() == blocked
+    code, _, files = blocked
+    assert code == 0 and "report.json" in files
+    if config == "mostly-empty":
+        assert b"of parameter draws give an empty quantum region" in files["report.json"]
+        assert not any(name.startswith("hist_") for name in files)
 
 
 @pytest.mark.parametrize("dim, area_calls", [("all", 12), ("1", 0), ("3", 0)],

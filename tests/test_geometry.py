@@ -6,15 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diqpv import geometry
 from diqpv.errors import EmptyRegionError
 from diqpv.geometry import (
     REGIONS,
     SPEED_OF_LIGHT_M_PER_NS,
     RegionSpec,
     TimingGeometry,
-    axis_interval,
     classical_sizes,
+    _draw_parameters,
     _measure,
+    _measure_blocks,
     quantum_advantage,
     quantum_advantages,
     region_size,
@@ -25,10 +27,12 @@ from diqpv.reference import timing_geometry
 
 from golden import REFERENCE_ADVANTAGE, REFERENCE_LENGTHS, REFERENCE_TIMING
 from oracles import (
+    axis_interval,
     axis_scan,
     classical_lengths_ok,
     direct_3d_volume,
     measure_per_dim,
+    measure_unblocked,
     point_in_classical_region,
     point_in_quantum_region,
     quantum_lengths_ok,
@@ -334,6 +338,49 @@ def test_sizer_is_warning_free_on_subnormal_lengths(draws):
                 o_lo, o_hi, o_size = measure_per_dim(region, dim, ra, rb, s_ab, s_ba, d)
                 assert _bits(lo) == _bits(o_lo) and _bits(hi) == _bits(o_hi)
                 assert _bits(sizes[dim]) == _bits(o_size), (region, dim)
+
+
+# Draw sets for the block edges: the reference survey, a sum cap just above
+# the separation (about 0.5% of quantum regions empty) and one below it (the
+# quantum region and lens A empty in every draw).
+_EDGE_GEOMETRIES = {
+    "reference": timing_geometry(),
+    "tight-cap": TimingGeometry(s_vap_ns=0.0, s_vb_ns=100.0, r_vap_ns=400.0, r_vb_ns=500.0,
+                                d_sep_m=87.36, d_sep_sigma_m=1.0),
+    "cap-below-separation": TimingGeometry(s_vap_ns=0.0, s_vb_ns=100.0, r_vap_ns=300.0,
+                                           r_vb_ns=500.0, d_sep_m=87.36, r_vap_sigma_ns=0.5,
+                                           d_sep_sigma_m=1.0),
+}
+_SMALL_BLOCK = 16
+
+
+def _assert_blocked_matches_unblocked(name, count, seed, dims):
+    ra, rb, s_ab, s_ba, d = _draw_parameters(_EDGE_GEOMETRIES[name], count, seed)
+    scaled = (ra / d, rb / d, s_ab / d, s_ba / d)  # as quantum_advantages sizes them
+    for region in REGIONS:
+        lo, hi, sizes = _measure_blocks(region, dims, *scaled)
+        o_lo, o_hi, o_sizes = measure_unblocked(region, dims, *scaled)
+        assert _bits(lo) == _bits(o_lo) and _bits(hi) == _bits(o_hi), region
+        assert list(sizes) == list(o_sizes)
+        for dim in sizes:
+            assert _bits(sizes[dim]) == _bits(o_sizes[dim]), (region, dim)
+
+
+@given(name=st.sampled_from(sorted(_EDGE_GEOMETRIES)),
+       count=st.sampled_from([1, _SMALL_BLOCK - 1, _SMALL_BLOCK, _SMALL_BLOCK + 1,
+                              2 * _SMALL_BLOCK + 3]),
+       seed=st.integers(0, 2**32 - 1),
+       dims=st.sampled_from([(1,), (2,), (3,), (2, 3), (1, 2, 3)]))
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_blocked_sizer_matches_unblocked_oracle(name, count, seed, dims):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_BLOCK", _SMALL_BLOCK)
+        _assert_blocked_matches_unblocked(name, count, seed, dims)
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_GEOMETRIES))
+def test_blocked_sizer_matches_unblocked_oracle_at_package_block(name):
+    _assert_blocked_matches_unblocked(name, 2 * geometry._BLOCK + 3, 5, (1, 2, 3))
 
 
 def test_central_sizes_match_per_dim_oracle():
