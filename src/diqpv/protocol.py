@@ -59,7 +59,6 @@ from .simulator import _cpus
 from .trialdata import (
     CountsTable,
     JointSettingsDistribution,
-    _checked_codes,
     aggregate_counts,
     read_trial_header,
 )
@@ -169,16 +168,6 @@ def run_instance_from_counts(
         trials_real=trials_real,
         trials_padded=params.n - trials_real,
     )
-
-
-def run_instance(codes, tf: TestFactor, params: ProtocolParams) -> InstanceResult:
-    """Evaluate an instance from its packed trial codes (see pack_records).
-
-    Streams longer than params.n are truncated by discarding trials from
-    the end; shorter ones are padded with neutral trials.
-    """
-    codes = _checked_codes(codes)[: _instance_length(params)]
-    return run_instance_from_counts(aggregate_counts(codes), int(codes.size), tf, params)
 
 
 def r_lower_bound(sum_log_w: float, n: int, delta: float, wbar_prime_min: float) -> float:

@@ -136,15 +136,6 @@ def honest_distribution(model: HonestProverModel) -> ConditionalDistribution3:
     return regularize(honest_matched(model), model.d_sim)
 
 
-def source_robustness(model: HonestProverModel) -> float:
-    """Entanglement-rate contribution of the source per trial.
-
-    For a pure pair state the robustness is (sum of Schmidt coefficients)
-    squared minus one, weighted by the pair probability.
-    """
-    return model.p_pair * ((abs(model.amp_a) + abs(model.amp_b)) ** 2 - 1.0)
-
-
 @dataclass(frozen=True)
 class AdversaryModel:
     """A cheating strategy presented as a full trial behavior."""

@@ -16,8 +16,8 @@ local-deterministic strategies by maximizing the expected log factor
 (prediction-based-ratio form), the mismatch constant is the largest
 certifiable value, read from one LP over the dual of the certification
 LP (the expected factor is affine in the constant) whose duals certify
-the factor, which can then be rescaled or mixed toward unity, each
-transform mapping the duals along.
+the factor, which can then be mixed toward unity, the mix mapping the
+duals along.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from itertools import product
 import numpy as np
 
 from ._smooth import maximize_log_affine
-from .errors import CertificationError, DegenerateDataError, UselessFactorError
+from .errors import CertificationError, DegenerateDataError
 from .estimation import (
     ConditionalDistribution2,
     ConditionalDistribution3,
@@ -287,20 +287,6 @@ def wbar_min(tf: TestFactor) -> float:
     return float((tf.nu * per_settings).sum())
 
 
-def scale_for_fixed_entanglement(tf: TestFactor, xi: float) -> TestFactor:
-    """Divide the factor by 1 + xi (1 - wbar_min) for source robustness xi."""
-    if xi < 0:
-        raise ValueError("xi must be nonnegative")
-    if xi == 0:
-        return tf
-    wmin = wbar_min(tf)
-    if wmin >= 1.0:
-        raise UselessFactorError("factor has settings-averaged minimum >= 1; nothing to scale")
-    scale = 1.0 + xi * (1.0 - wmin)
-    duals = tf.duals / (tf.scale * scale)
-    return certified_factor(tf.matched / scale, tf.mismatch / scale, tf.nu, duals, tf.meta)
-
-
 def mixing_cap(tf: TestFactor) -> float:
     """Largest unity-mixing weight keeping the factor nonnegative."""
     wmin = tf.global_min()
@@ -361,16 +347,3 @@ def testfactor_to_json(tf: TestFactor) -> str:
         "meta": tf.meta or {},
     }
     return json.dumps(payload, indent=2)
-
-
-def testfactor_from_json(text: str) -> TestFactor:
-    """Inverse of testfactor_to_json; checks the stored certificate (version 1 has none)."""
-    payload = json.loads(text)
-    if payload.get("format") != "diqpv-test-factor":
-        raise ValueError("not a serialized test factor")
-    matched, nu = (np.array(payload[k], dtype=np.float64) for k in ("matched", "nu"))
-    mismatch, meta = float(payload["mismatch"]), payload.get("meta") or None
-    if "certificate" not in payload:
-        return certified_factor(matched, mismatch, nu, meta=meta)
-    cert = payload["certificate"]
-    return TestFactor(matched, mismatch, nu, cert["duals"], float(cert["scale"]), meta)

@@ -2,17 +2,29 @@
 
 Textbook behaviors and polytopes no command needs, the transforms of
 three-party behaviors the structural tests apply, marginals of a full
-trial behavior, and an in-memory trial source.  None of them is an
-oracle: the definitions tests trust live in oracles.py.
+trial behavior, an in-memory trial source, and four library functions no
+command runs, kept here as they stood in the package: scoring an instance
+from its trial codes, the fixed-entanglement rescaling of a factor, the
+source's robustness, and loading a factor from its JSON form.  None of
+them is an oracle: the definitions tests trust live in oracles.py.
 """
 
+import json
 from itertools import product
 
 import numpy as np
 
-from diqpv.errors import DegenerateDataError
+from diqpv.errors import DegenerateDataError, UselessFactorError
 from diqpv.polytopes import HPolytope, correlator_rows, quantum_set
-from diqpv.trialdata import CountsTable, aggregate_counts
+from diqpv.protocol import (
+    InstanceResult,
+    ProtocolParams,
+    _instance_length,
+    run_instance_from_counts,
+)
+from diqpv.simulator import HonestProverModel
+from diqpv.testfactor import TestFactor, certified_factor, wbar_min
+from diqpv.trialdata import CountsTable, _checked_codes, aggregate_counts
 
 
 # Two-party behaviors, polytopes and objective rows
@@ -144,3 +156,52 @@ class ArrayTrialSource:
 
     def prefix_counts(self, k: int) -> CountsTable:
         return aggregate_counts(self._codes[:k])
+
+
+# Library functions no command runs
+
+
+def run_instance(codes, tf: TestFactor, params: ProtocolParams) -> InstanceResult:
+    """Evaluate an instance from its packed trial codes (see pack_records).
+
+    Streams longer than params.n are truncated by discarding trials from
+    the end; shorter ones are padded with neutral trials.
+    """
+    codes = _checked_codes(codes)[: _instance_length(params)]
+    return run_instance_from_counts(aggregate_counts(codes), int(codes.size), tf, params)
+
+
+def scale_for_fixed_entanglement(tf: TestFactor, xi: float) -> TestFactor:
+    """Divide the factor by 1 + xi (1 - wbar_min) for source robustness xi."""
+    if xi < 0:
+        raise ValueError("xi must be nonnegative")
+    if xi == 0:
+        return tf
+    wmin = wbar_min(tf)
+    if wmin >= 1.0:
+        raise UselessFactorError("factor has settings-averaged minimum >= 1; nothing to scale")
+    scale = 1.0 + xi * (1.0 - wmin)
+    duals = tf.duals / (tf.scale * scale)
+    return certified_factor(tf.matched / scale, tf.mismatch / scale, tf.nu, duals, tf.meta)
+
+
+def source_robustness(model: HonestProverModel) -> float:
+    """Entanglement-rate contribution of the source per trial.
+
+    For a pure pair state the robustness is (sum of Schmidt coefficients)
+    squared minus one, weighted by the pair probability.
+    """
+    return model.p_pair * ((abs(model.amp_a) + abs(model.amp_b)) ** 2 - 1.0)
+
+
+def testfactor_from_json(text: str) -> TestFactor:
+    """Inverse of testfactor_to_json; checks the stored certificate (version 1 has none)."""
+    payload = json.loads(text)
+    if payload.get("format") != "diqpv-test-factor":
+        raise ValueError("not a serialized test factor")
+    matched, nu = (np.array(payload[k], dtype=np.float64) for k in ("matched", "nu"))
+    mismatch, meta = float(payload["mismatch"]), payload.get("meta") or None
+    if "certificate" not in payload:
+        return certified_factor(matched, mismatch, nu, meta=meta)
+    cert = payload["certificate"]
+    return TestFactor(matched, mismatch, nu, cert["duals"], float(cert["scale"]), meta)

@@ -24,7 +24,7 @@ from golden import (
     behavior_array,
     factor_array,
 )
-from helpers import prover_swap, two_party_marginal, uniform_ns3
+from helpers import prover_swap, source_robustness, two_party_marginal, uniform_ns3
 from oracles import lr_member_oracle, point_in_classical_region, point_in_quantum_region
 
 from diqpv.estimation import cell_probabilities, ml_fit_quantum
@@ -38,7 +38,7 @@ from diqpv.protocol import (
     run_instance_from_counts,
 )
 from diqpv.reference import timing_geometry
-from diqpv.simulator import HonestProverModel, sample_trials, source_robustness, stream_key
+from diqpv.simulator import HonestProverModel, sample_trials, stream_key
 from diqpv.testfactor import build_wlr, certified_factor, gain_variance, lambda_max
 from diqpv.trialdata import CountsTable
 

@@ -33,13 +33,13 @@ from golden import (
     behavior_array,
     factor_array,
 )
+from helpers import testfactor_from_json as factor_from_json
 from oracles import measure_unblocked
 import diqpv
 import diqpv.polytopes
 from diqpv import __version__, protocol
 from diqpv.cli import PLAN_EPSILONS, build_parser, main
 from diqpv.geometry import SPEED_OF_LIGHT_M_PER_NS
-from diqpv.testfactor import testfactor_from_json as factor_from_json
 from diqpv.trialdata import (
     CountsTable,
     export_counts_csv,

@@ -25,7 +25,6 @@ from diqpv.protocol import (
     plan_entanglement,
     r_lower_bound,
     required_trials,
-    run_instance,
     run_instance_from_counts,
     segment_and_analyze,
     z_for_epsilon,
@@ -42,7 +41,7 @@ from diqpv.testfactor import (
 )
 from diqpv.trialdata import CountsTable, aggregate_counts, pack_records, write_trials
 
-from helpers import ArrayTrialSource
+from helpers import ArrayTrialSource, run_instance
 from oracles import achievable_rth_unblocked, factor_value, kahan_sum, p_succ
 
 

@@ -30,5 +30,8 @@ def test_library_entry_points_example_runs():
     assert np.array_equal(tf.matched, cal.factor.matched) and tf.mismatch == cal.factor.mismatch
     assert plan.n == 48_839_430
     assert plan.lam_mix == pytest.approx(0.5826, abs=1e-4)
+    assert ns["res"].passed is True
+    assert ns["res"].log2_p == pytest.approx(124.0, abs=0.05)
     assert ns["adv"]["comparable"].ratio == pytest.approx(4.47, abs=0.01)
     assert ns["every"][3]["comparable"].ratio == pytest.approx(4.52, abs=0.01)
+    assert ns["sizes"][1]["quantum"] == pytest.approx(78.90, abs=0.005)

@@ -21,13 +21,12 @@ from diqpv.simulator import (
     honest_distribution,
     honest_matched,
     sample_trials,
-    source_robustness,
     stream_key,
 )
 from diqpv.testfactor import certify
 from diqpv.trialdata import JointSettingsDistribution, aggregate_counts
 
-from helpers import mismatch_mass, pr_box, uniform_ns3
+from helpers import mismatch_mass, pr_box, source_robustness, uniform_ns3
 from oracles import born_matched_oracle, inverse_cdf_sample, lr_distance
 
 

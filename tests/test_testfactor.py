@@ -27,11 +27,9 @@ from diqpv.testfactor import (
     lambda_max,
     mix_with_unity,
     mixing_cap,
-    scale_for_fixed_entanglement,
     wbar_min,
 )
 from diqpv.testfactor import TestFactor as CertifiedFactor
-from diqpv.testfactor import testfactor_from_json as factor_from_json
 from diqpv.testfactor import testfactor_to_json as factor_to_json
 from diqpv.trialdata import CountsTable, settings_weights
 
@@ -43,7 +41,8 @@ from golden import (
     factor_array,
     reference_counts_table,
 )
-from helpers import ns3_probe_points, pr_box
+from helpers import ns3_probe_points, pr_box, scale_for_fixed_entanglement
+from helpers import testfactor_from_json as factor_from_json
 from oracles import (
     dual_bound_fraction,
     factor_value,

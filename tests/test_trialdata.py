@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diqpv import trialdata
-from diqpv.protocol import FileTrialSource, ProtocolParams, run_instance
+from diqpv.protocol import FileTrialSource, ProtocolParams
 from diqpv.trialdata import (
     FIELD_NAMES,
     JointSettingsDistribution,
@@ -24,6 +24,7 @@ from diqpv.trialdata import (
 )
 
 from golden import REFERENCE_COUNTS, reference_counts_table
+from helpers import run_instance
 
 records_strategy = st.lists(
     st.tuples(*[st.integers(1, 2) for _ in range(5)]), max_size=200
