@@ -8,7 +8,7 @@ diqpv.cli:main; the submodules carry the library API:
     trialdata    binary trial files, counts tables, settings weights
     polytopes    LR / no-signaling / quantum-set polytopes and LP support
     estimation   maximum-likelihood calibration fitting, regularization
-    testfactor   factor construction, certification, robustness transforms
+    testfactor   factor construction, certification, mixing with unity
     protocol     instance scoring, planning, run segmentation
     simulator    honest and adversarial trial models, trial sampling
     geometry     target regions, sizes, quantum-advantage ratios

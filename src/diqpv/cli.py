@@ -206,6 +206,8 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     if args.trials_per_file < 0:
         raise ValueError(f"--trials-per-file must be nonnegative, got {args.trials_per_file}")
+    if not 0 <= args.seed < 1 << 64:
+        raise ValueError(f"--seed must lie in 0..2^64 - 1, got {args.seed}")
     error_files = set()
     for tok in filter(None, map(str.strip, args.error_files.split(","))):
         try:
@@ -379,6 +381,8 @@ def cmd_geometry(args) -> int:
     dims = (1, 2, 3) if args.dim == "all" else (int(args.dim),)
     if args.mc_outer < 1:
         raise ValueError("mc_outer must be at least 1")
+    if not 0 <= args.seed < 1 << 128:
+        raise ValueError(f"--seed must lie in 0..2^128 - 1, got {args.seed}")
     os.makedirs(args.out, exist_ok=True)
 
     results = quantum_advantages(tg, dims, mc_outer=args.mc_outer, seed=args.seed)

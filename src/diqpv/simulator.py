@@ -149,7 +149,7 @@ class AdversaryModel:
         if not 0 <= index < 16:
             raise ValueError("vertex index must lie in 0..15")
         sigma2 = lr_vertices()[index]
-        return cls(f"lr-vertex-{index}", _matched_to_full(sigma2))
+        return cls(f"lr-vertex-{index}", regularize(ConditionalDistribution2(sigma2), 0.0))
 
     @classmethod
     def lr_mixture(cls, weights) -> "AdversaryModel":
@@ -158,7 +158,7 @@ class AdversaryModel:
         if w.shape != (16,) or (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("need 16 nonnegative weights summing to 1")
         sigma2 = (lr_vertices() * w[:, None, None, None, None]).sum(axis=0)
-        return cls("lr-mixture", _matched_to_full(sigma2))
+        return cls("lr-mixture", regularize(ConditionalDistribution2(sigma2), 0.0))
 
     @classmethod
     def ns3_point(cls, mu) -> "AdversaryModel":
@@ -172,14 +172,6 @@ class AdversaryModel:
         return cls("ns3-point", ConditionalDistribution3(np.clip(full, 0.0, None)))
 
 
-def _matched_to_full(sigma2: np.ndarray) -> ConditionalDistribution3:
-    """Embed a matched behavior: both stations report the prover outcome."""
-    full = np.zeros((2, 2, 2, 2, 2))
-    for z in range(2):
-        full[:, :, :, z, z] = sigma2[:, :, :, z]
-    return ConditionalDistribution3(full)
-
-
 def sample_trials(sigma3: ConditionalDistribution3, nu, count: int, key: int,
                   workers: int | None = None) -> np.ndarray:
     """Draw count i.i.d. trials as packed uint8 codes.
@@ -190,10 +182,9 @@ def sample_trials(sigma3: ConditionalDistribution3, nu, count: int, key: int,
     that Generator.random makes from w.  Scaling by 2^53 is exact, so
     cdf_i <= u exactly when w >> 11 >= thr_i = ceil(cdf_i 2^53), and the
     codes are counted against these integer thresholds: a table on the top
-    _BUCKET_BITS bits of w, the integer part of v = u 2^_BUCKET_BITS, gives
-    the code of every bucket that no threshold splits, and only draws in
-    the (at most 31) split buckets are searched, v against
-    thr_i 2^(_BUCKET_BITS - 53); both scalings are exact, as thr_i <= 2^53.
+    _BUCKET_BITS bits of w, the integer part of u 2^_BUCKET_BITS, gives the
+    code of every bucket that no threshold splits, and only draws in the
+    (at most 31) split buckets are searched, w >> 11 against thr.
     The CDF is made nondecreasing (np.maximum.accumulate), so a cell with a
     tiny negative probability is never drawn and each code depends on its
     own word only; where every cell probability is >= 0 this changes
@@ -209,13 +200,13 @@ def sample_trials(sigma3: ConditionalDistribution3, nu, count: int, key: int,
     the next unclaimed chunk until none is left, drawing the chunk from pos
     with its Philox advanced to pos // 4 and writing its own slice of the
     result; so the bytes are the same for every thread count, and a thread
-    slowed by other load claims fewer chunks.  The calling thread draws raw
-    words (random_raw), whose allocations land in the main malloc arena
-    that later calls reuse; pool threads draw through Generator.random into
-    buffers allocated here, since a pool thread's own arena would keep its
-    allocations resident.  Generator.random costs about 1.3 times
-    random_raw per word, so the calling thread keeps the raw path.  The
-    work buffers hold _DRAWS_PER_CHUNK draws in all.
+    slowed by other load claims fewer chunks.  Every thread runs the same
+    kernel in its own bucket and mask buffers, allocated here; the work
+    buffers and raw words hold _DRAWS_PER_CHUNK draws in all.  A pool
+    thread's raw words come from its own malloc arena, which keeps up to a
+    chunk of them resident after the call: with glibc, 15M trials on 2 or
+    4 threads left 0.12-0.18 MB of words resident per pool thread, and at
+    most 1 MB per pool arena in all.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -226,7 +217,6 @@ def sample_trials(sigma3: ConditionalDistribution3, nu, count: int, key: int,
     cdf = np.maximum.accumulate(np.cumsum(probs))
     cdf[-1] = 1.0
     thr = np.ceil(cdf * 2.0**53).astype(np.uint64)
-    thr_v = thr * 2.0 ** (_BUCKET_BITS - 53)
     # Bucket b holds the words whose top bits are b: w >> 11 runs over
     # [b << width, (b + 1) << width).
     width = 53 - _BUCKET_BITS
@@ -253,7 +243,7 @@ def sample_trials(sigma3: ConditionalDistribution3, nu, count: int, key: int,
             drawn = pos + n
             yield pos, n
 
-    def fill_raw(bucket, mask):
+    def fill(bucket, mask):
         bitgen = np.random.Philox(key=key)
         for pos, n in claimed(bitgen):
             raw = bitgen.random_raw(n)
@@ -266,27 +256,13 @@ def sample_trials(sigma3: ConditionalDistribution3, nu, count: int, key: int,
             codes[amb] = np.searchsorted(thr, raw[amb] >> 11, side="right")
             del raw  # before the next chunk's words are drawn
 
-    def fill_float(v, bucket, mask):
-        gen = np.random.Generator(np.random.Philox(key=key))
-        for pos, n in claimed(gen.bit_generator):
-            vn, bn, mn, codes = v[:n], bucket[:n], mask[:n], out[pos : pos + n]
-            # Only into the caller's buffers (take buffers its output in
-            # mode "raise"), so a pool thread allocates no work memory.
-            gen.random(out=vn)
-            np.multiply(vn, float(1 << _BUCKET_BITS), out=vn)
-            np.copyto(bn, vn, casting="unsafe")
-            np.take(table, bn, out=codes, mode="clip")
-            np.equal(codes, _SPLIT, out=mn)
-            amb = np.flatnonzero(mn)
-            codes[amb] = np.searchsorted(thr_v, vn[amb], side="right")
-
     size = min(chunk, count)
-    pool_buffers = [(np.empty(size), np.empty(size, dtype=np.intp), np.empty(size, dtype=np.bool_))
-                    for _ in range(min(threads, chunks) - 1)]
+    buffers = [(np.empty(size, dtype=np.intp), np.empty(size, dtype=np.bool_))
+               for _ in range(max(1, min(threads, chunks)))]
     # The pool starts a thread per submitted job only.
-    with ThreadPoolExecutor(max_workers=max(1, len(pool_buffers))) as pool:
-        rest = [pool.submit(fill_float, *buffers) for buffers in pool_buffers]
-        fill_raw(np.empty(size, dtype=np.intp), np.empty(size, dtype=np.bool_))
+    with ThreadPoolExecutor(max_workers=max(1, len(buffers) - 1)) as pool:
+        rest = [pool.submit(fill, *b) for b in buffers[1:]]
+        fill(*buffers[0])
         for future in rest:
             future.result()
     return out

@@ -315,8 +315,13 @@ def test_simulate_rejects_negative_trials_per_file(tmp_path, capsys):
     (["--duration-minutes", "nan"], "--duration-minutes must be finite and nonnegative, got nan"),
     (["--duration-minutes", "-0.5"],
      "--duration-minutes must be finite and nonnegative, got -0.5"),
+    # stream_key takes a 64-bit run seed.
+    (["--files", "2", "--seed", "-1"], "--seed must lie in 0..2^64 - 1, got -1"),
+    (["--files", "0", "--seed", "-5"], "--seed must lie in 0..2^64 - 1, got -5"),
+    (["--files", "2", "--seed", str(2**64)], f"--seed must lie in 0..2^64 - 1, got {2**64}"),
 ], ids=["error-files-outside", "error-files-one-past", "error-files-not-int", "duration-inf",
-        "duration-nan", "duration-negative"])
+        "duration-nan", "duration-negative", "seed-negative", "seed-negative-no-files",
+        "seed-past-64-bits"])
 def test_simulate_rejects_run_shape_before_writing(tmp_path, capsys, flags, message):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), "--trials-per-file", "100"] + flags) == 1
@@ -995,6 +1000,15 @@ def test_geometry_rejects_mc_outer_below_one(tmp_path, capsys, mc_outer):
     out = tmp_path / "geo"
     assert main(["geometry", "--out", str(out), "--mc-outer", mc_outer]) == 1
     assert "error: mc_outer must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)], ids=["negative", "past-128-bits"])
+def test_geometry_rejects_seed_outside_philox_keys(tmp_path, capsys, seed):
+    out = tmp_path / "geo"
+    assert main(["geometry", "--out", str(out), "--dim", "1", "--mc-outer", "10",
+                 "--seed", seed]) == 1
+    assert capsys.readouterr().err == f"error: --seed must lie in 0..2^128 - 1, got {seed}\n"
     assert not out.exists()
 
 

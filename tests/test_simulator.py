@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -228,11 +229,12 @@ _COUNTS = st.sampled_from([0, 1, 65535, 65536, 65537, 131073]) | st.integers(0, 
 
 
 @given(mixture_seed=st.none() | st.integers(0, 2**32 - 1), nu_ints=_NU_WITH_ZEROS,
-       count=_COUNTS, key=st.integers(0, 2**128 - 1))
+       count=_COUNTS, key=st.integers(0, 2**128 - 1), workers=st.integers(1, 4))
 # The honest model's 1.25e-7 cells put several CDF thresholds in one bucket.
-@example(mixture_seed=None, nu_ints=[1, 1, 1, 1], count=65537, key=stream_key(12345, 0))
+@example(mixture_seed=None, nu_ints=[1, 1, 1, 1], count=65537, key=stream_key(12345, 0),
+         workers=4)
 @settings(derandomize=True, max_examples=80, deadline=None)
-def test_sampler_matches_float_inverse_cdf_oracle(mixture_seed, nu_ints, count, key):
+def test_sampler_matches_float_inverse_cdf_oracle(mixture_seed, nu_ints, count, key, workers):
     if mixture_seed is None:
         sigma3 = _HONEST
     else:
@@ -243,8 +245,11 @@ def test_sampler_matches_float_inverse_cdf_oracle(mixture_seed, nu_ints, count, 
             weights[0] = 1.0
         sigma3 = AdversaryModel.lr_mixture(weights / weights.sum()).behavior
     nu = np.asarray(nu_ints, dtype=np.float64).reshape(2, 2) / sum(nu_ints)
-    assert np.array_equal(sample_trials(sigma3, nu, count, key),
-                          inverse_cdf_sample(sigma3, nu, count, key))
+    # Up to four threads on any host, so pool threads' chunks meet the
+    # oracle too (hypothesis admits no function-scoped fixture here).
+    with mock.patch.object(simulator, "_cpus", lambda: 4):
+        codes = sample_trials(sigma3, nu, count, key, workers=workers)
+    assert np.array_equal(codes, inverse_cdf_sample(sigma3, nu, count, key))
 
 
 @pytest.mark.parametrize("boundary, counted", [
