@@ -204,9 +204,9 @@ def sample_trials(sigma3: ConditionalDistribution3, nu, count: int, key: int,
     kernel in its own bucket and mask buffers, allocated here; the work
     buffers and raw words hold _DRAWS_PER_CHUNK draws in all.  A pool
     thread's raw words come from its own malloc arena, which keeps up to a
-    chunk of them resident after the call: with glibc, 15M trials on 2 or
-    4 threads left 0.12-0.18 MB of words resident per pool thread, and at
-    most 1 MB per pool arena in all.
+    chunk of them resident after the call: with glibc, 15M-trial calls on
+    2 or 4 threads left 0.12-0.32 MB of words resident per pool thread,
+    and at most 1.1 MB per pool arena in all.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
