@@ -47,9 +47,11 @@ from .protocol import (
 )
 from .reference import calibration_counts, timing_geometry
 from .simulator import (
-    AdversaryModel,
     HonestProverModel,
     honest_distribution,
+    lr_mixture_distribution,
+    lr_vertex_distribution,
+    ns3_distribution,
     sample_trials,
     stream_key,
 )
@@ -78,9 +80,10 @@ def _load_json(path) -> dict:
 
 
 def _write_json(path, payload: dict) -> None:
+    """Write payload only once it has serialized, so a failure writes nothing."""
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _write_hist_csv(path, values, bins: int = 50) -> None:
@@ -122,13 +125,17 @@ def _is_number(value) -> bool:
 
 def _check_numbers(what: str, cfg: dict, lists=()) -> None:
     """Reject a config value that is not an int or a float (bools and strings
-    included); each key in lists holds a list of such numbers instead."""
+    included), or not finite (json reads NaN and Infinity); each key in
+    lists holds a list of such numbers instead."""
     for key, value in cfg.items():
         if key in lists:
             if not (isinstance(value, list) and all(map(_is_number, value))):
                 raise ValueError(f"{what} key {key!r} must be a list of numbers, got {value!r}")
         elif not _is_number(value):
             raise ValueError(f"{what} key {key!r} must be a number, got {value!r}")
+        if not all(isinstance(v, int) or math.isfinite(v)
+                   for v in (value if key in lists else [value])):
+            raise ValueError(f"{what} key {key!r} must be finite, got {value!r}")
 
 
 def _timing_from_arg(path) -> TimingGeometry:
@@ -176,12 +183,10 @@ def _resolve_model(shortcut, cfg: dict):
     if kind == "lr_vertex":
         if not isinstance(spec[key], int) or isinstance(spec[key], bool):
             raise ValueError(f"lr_vertex model key {key!r} must be an int, got {spec[key]!r}")
-        model = AdversaryModel.lr_vertex(spec[key])
-    elif kind == "lr_mixture":
-        model = AdversaryModel.lr_mixture(np.asarray(spec[key], dtype=np.float64))
-    else:
-        model = AdversaryModel.ns3_point(np.asarray(spec[key], dtype=np.float64))
-    return spec, model.behavior
+        return spec, lr_vertex_distribution(spec[key])
+    if kind == "lr_mixture":
+        return spec, lr_mixture_distribution(np.asarray(spec[key], dtype=np.float64))
+    return spec, ns3_distribution(np.asarray(spec[key], dtype=np.float64))
 
 
 def _settings_from_config(cfg: dict) -> JointSettingsDistribution:
@@ -218,6 +223,7 @@ def cmd_simulate(args) -> int:
     if outside:
         raise ValueError(f"--error-files indices {outside} outside 0..{n_files - 1}")
     cfg = _load_json(args.config) if args.config else {}
+    _check_keys("config", cfg, (), ("model", "settings_weights"))
     model_spec, sigma3 = _resolve_model(args.model, cfg)
     nu = _settings_from_config(cfg)
     os.makedirs(args.out, exist_ok=True)

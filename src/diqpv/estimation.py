@@ -12,12 +12,13 @@ their normalized frequencies, hence is invariant under count rescaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from ._smooth import maximize_log_affine
 from .errors import DegenerateDataError
-from .polytopes import TSIRELSON, CHSH_SIGNS, correlator_rows, quantum_set
+from .polytopes import quantum_set
 from .trialdata import CountsTable, settings_weights
 
 
@@ -25,8 +26,9 @@ from .trialdata import CountsTable, settings_weights
 class ConditionalDistribution2:
     """Matched-sector behavior sigma[ma, mp, oa, op].
 
-    Each 2x2 outcome block sums to 1 (tolerance 1e-12) and the behavior
-    satisfies the quantum-set constraints to 1e-8.
+    Every probability is finite, each 2x2 outcome block sums to 1
+    (tolerance 1e-12) and the behavior satisfies the quantum-set
+    constraints to 1e-8.
     """
 
     table: np.ndarray
@@ -35,8 +37,8 @@ class ConditionalDistribution2:
         t = np.asarray(self.table, dtype=np.float64)
         if t.shape != (2, 2, 2, 2):
             raise ValueError("behavior must have shape (2, 2, 2, 2)")
-        if (t < -1e-12).any():
-            raise ValueError("probabilities must be nonnegative")
+        if not np.isfinite(t).all() or (t < -1e-12).any():
+            raise ValueError("probabilities must be finite and nonnegative")
         sums = t.sum(axis=(2, 3))
         if np.abs(sums - 1.0).max() > 1e-12:
             raise ValueError("each settings block must sum to 1")
@@ -49,9 +51,9 @@ class ConditionalDistribution2:
 class ConditionalDistribution3:
     """Full trial behavior sigma[ma, mp, oa, za, zb] including mismatches.
 
-    Per-settings blocks sum to 1 (tolerance 1e-12).  When built by
-    regularize, the mass on the za != zb cells equals the mismatch
-    parameter d for every settings pair.
+    Probabilities are finite and per-settings blocks sum to 1 (tolerance
+    1e-12).  When built by regularize, the mass on the za != zb cells
+    equals the mismatch parameter d for every settings pair.
     """
 
     table: np.ndarray
@@ -60,8 +62,8 @@ class ConditionalDistribution3:
         t = np.asarray(self.table, dtype=np.float64)
         if t.shape != (2, 2, 2, 2, 2):
             raise ValueError("behavior must have shape (2, 2, 2, 2, 2)")
-        if (t < -1e-15).any():
-            raise ValueError("probabilities must be nonnegative")
+        if not np.isfinite(t).all() or (t < -1e-15).any():
+            raise ValueError("probabilities must be finite and nonnegative")
         sums = t.sum(axis=(2, 3, 4))
         if np.abs(sums - 1.0).max() > 1e-12:
             raise ValueError("each settings block must sum to 1")
@@ -82,10 +84,10 @@ def _matched_counts(counts) -> np.ndarray:
     return m
 
 
+@cache  # on first use: an SVD at import would cost every command 1 MB of peak RSS
 def _nullspace_parametrization():
     """Uniform behavior plus an orthonormal basis of the equality nullspace."""
-    q = quantum_set()
-    _, sv, vt = np.linalg.svd(q.a_eq)
+    _, sv, vt = np.linalg.svd(quantum_set().a_eq)
     rank = int((sv > 1e-12 * sv[0]).sum())
     basis = vt[rank:].T  # (16, 8)
     mu0 = np.full(16, 0.25)
@@ -106,9 +108,9 @@ def ml_fit_quantum(counts) -> ConditionalDistribution2:
 
     # Rows: 16 cell values (objective weight = frequency, also the
     # nonnegativity constraints) and 8 correlator-cap slacks (weight 0).
-    cap_rows = CHSH_SIGNS @ correlator_rows()
-    a = np.vstack([basis, -cap_rows @ basis])
-    b = np.concatenate([mu0, TSIRELSON - cap_rows @ mu0])
+    q = quantum_set()
+    a = np.vstack([basis, -q.a_ub @ basis])
+    b = np.concatenate([mu0, q.b_ub - q.a_ub @ mu0])
     w = np.concatenate([weights, np.zeros(8)])
 
     theta = maximize_log_affine(w, a, b, np.zeros(basis.shape[1]))

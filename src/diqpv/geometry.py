@@ -61,6 +61,8 @@ class TimingGeometry:
     d_sep_sigma_m: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError("times, separation and uncertainties must be finite")
         if self.r_vap_ns < self.s_vap_ns or self.r_vb_ns < self.s_vb_ns:
             raise ValueError("receive times must not precede send times")
         if self.d_sep_m <= 0:

@@ -12,9 +12,10 @@ runtime.  A certificate is a vector of row duals, which _dual_bound turns
 into an exact weak-duality upper bound on the maximum of an objective
 (floats, or exact integers over a common denominator), so a float solver
 error can loosen a bound but never make it too small.  Each solve is one
-linprog call that returns its duals as such a certificate: max_linear for
-a maximum, max_shift_within for the largest admissible shift of an
-objective.
+linprog call that returns its duals as such a certificate, for a maximum
+(max_linear) or for the largest admissible shift of an objective.  NS3,
+the three-party no-signaling polytope, is built once here for every
+module that certifies against it or checks a strategy.
 
 linprog is the package's own dense tableau simplex (numpy only; the
 solver affects how close a solve gets to optimal, never soundness).  Phase
@@ -33,8 +34,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import count, product
+from functools import cache, cached_property
+from itertools import product
 
 import numpy as np
 
@@ -65,7 +66,7 @@ class HPolytope:
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} variables, got {x.shape}")
-        if (x < -tol).any() or (x > 1 + tol).any():
+        if not np.isfinite(x).all() or (x < -tol).any() or (x > 1 + tol).any():
             return False
         if self.a_eq.size and np.abs(self.a_eq @ x - self.b_eq).max() > tol:
             return False
@@ -108,6 +109,7 @@ def chsh_values(sigma) -> np.ndarray:
     return CHSH_SIGNS @ e
 
 
+@cache  # built once, on first use: commands that never fit skip its BLAS start-up
 def quantum_set() -> HPolytope:
     """Outer approximation of the two-party quantum behaviors.
 
@@ -186,6 +188,9 @@ def ns3_polytope() -> HPolytope:
         a_ub=np.zeros((0, 64)),
         b_ub=np.zeros(0),
     )
+
+
+NS3 = ns3_polytope()
 
 
 def lr_vertices() -> np.ndarray:
@@ -284,23 +289,6 @@ def _dual_bound(c, poly: HPolytope, duals, den: int = 1) -> float:
     return bound if p * den_all >= total * q else math.nextafter(bound, math.inf)
 
 
-def max_shift_within(c0, c1, poly: HPolytope, bound: float, t_max: float):
-    """Largest t in [0, t_max] with max over poly of (c0 + t c1) . x <= bound.
-
-    c1 must be nonnegative, so that the maximum grows with t.  One simplex
-    solve (linprog).  Returns (t, row duals (y, z)), a certificate for
-    c0 + t c1, or None when no t in range is admissible.
-    """
-    c0 = np.asarray(c0, dtype=np.float64).reshape(-1)
-    c1 = np.asarray(c1, dtype=np.float64).reshape(-1)
-    if c0.shape != (poly.dim,) or c1.shape != (poly.dim,):
-        raise ValueError(f"objectives must have {poly.dim} entries")
-    if (c1 < 0).any():
-        raise ValueError("the shift direction c1 must be nonnegative")
-    found = linprog(poly, c0, c1, bound, t_max)
-    return None if found is None else (found[0], found[2])
-
-
 # The simplex.  Pivot elements and phase-I residuals up to _PIVOT_TOL count
 # as zero, reduced costs up to _COST_TOL as not improving.
 _PIVOT_TOL = 1e-9
@@ -313,10 +301,10 @@ def linprog(poly: HPolytope, c0, c1=None, bound: float = math.inf, t_max: float 
 
     Finds the largest t in [0, t_max] with max over poly of (c0 + t c1) . x
     <= bound, for c1 >= 0, by Newton (Dinkelbach) steps on that convex,
-    nondecreasing, piecewise-linear maximum f(t).  It starts at t =
-    min(1, t_max), or at t_max when that start is admissible; each step
-    moves t down to where the current maximizer's line reaches bound and
-    re-solves from the previous basis, since only the objective changed.
+    nondecreasing, piecewise-linear maximum f(t).  It starts at t = t_max;
+    each step moves t down to where the current maximizer's line reaches
+    bound and re-solves from the previous basis, since only the objective
+    changed.
     With the defaults it is one maximization of c0 . x.  Returns (t,
     maximizer x, row duals (y, z)) or None when no t in range is
     admissible; the duals solve the final basis's transposed system, and
@@ -327,8 +315,8 @@ def linprog(poly: HPolytope, c0, c1=None, bound: float = math.inf, t_max: float 
     tab, basis = tab.copy(), basis.copy()
     n = a.shape[1]
     c1 = np.zeros(poly.dim) if c1 is None else c1
-    t, budget = min(1.0, t_max), _PIVOT_CAP
-    for step in count():
+    t, budget = t_max, _PIVOT_CAP
+    while True:
         c = np.zeros(n)
         c[: poly.dim] = c0 + t * c1
         tab[-1, :-1] = c - c[basis] @ tab[:-1, :-1]
@@ -339,9 +327,6 @@ def linprog(poly: HPolytope, c0, c1=None, bound: float = math.inf, t_max: float 
         x = x[: poly.dim]
         height, slope = float(c0 @ x), float(c1 @ x)
         if height + t * slope <= bound:
-            if step == 0 and t < t_max:
-                t = t_max
-                continue
             break
         if slope <= 0.0 or bound < height:
             return None  # the line, a lower bound on f, exceeds bound on [0, t]

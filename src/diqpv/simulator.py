@@ -31,10 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import ConditionalDistribution2, ConditionalDistribution3, cell_probabilities, regularize
-from .polytopes import lr_vertices, ns3_polytope
+from .polytopes import NS3, lr_vertices
 from .trialdata import settings_weights
-
-_NS3 = ns3_polytope()
 
 # Published operating values; the state amplitudes are the rounded pair
 # renormalized to satisfy a^2 + b^2 = 1 exactly.
@@ -136,40 +134,31 @@ def honest_distribution(model: HonestProverModel) -> ConditionalDistribution3:
     return regularize(honest_matched(model), model.d_sim)
 
 
-@dataclass(frozen=True)
-class AdversaryModel:
-    """A cheating strategy presented as a full trial behavior."""
+def lr_vertex_distribution(index: int) -> ConditionalDistribution3:
+    """Deterministic cheating strategy: both stations report the same output."""
+    if not 0 <= index < 16:
+        raise ValueError("vertex index must lie in 0..15")
+    return regularize(ConditionalDistribution2(lr_vertices()[index]), 0.0)
 
-    kind: str
-    behavior: ConditionalDistribution3
 
-    @classmethod
-    def lr_vertex(cls, index: int) -> "AdversaryModel":
-        """Deterministic strategy: both stations report the same output."""
-        if not 0 <= index < 16:
-            raise ValueError("vertex index must lie in 0..15")
-        sigma2 = lr_vertices()[index]
-        return cls(f"lr-vertex-{index}", regularize(ConditionalDistribution2(sigma2), 0.0))
+def lr_mixture_distribution(weights) -> ConditionalDistribution3:
+    """Convex mixture of the deterministic strategies."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (16,) or (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
+        raise ValueError("need 16 nonnegative weights summing to 1")
+    sigma2 = (lr_vertices() * w[:, None, None, None, None]).sum(axis=0)
+    return regularize(ConditionalDistribution2(sigma2), 0.0)
 
-    @classmethod
-    def lr_mixture(cls, weights) -> "AdversaryModel":
-        """Convex mixture of the deterministic strategies."""
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (16,) or (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("need 16 nonnegative weights summing to 1")
-        sigma2 = (lr_vertices() * w[:, None, None, None, None]).sum(axis=0)
-        return cls("lr-mixture", regularize(ConditionalDistribution2(sigma2), 0.0))
 
-    @classmethod
-    def ns3_point(cls, mu) -> "AdversaryModel":
-        """General no-signaling strategy mu[ma, b, bp, oa, za, zb]."""
-        m = np.asarray(mu, dtype=np.float64).reshape(2, 2, 2, 2, 2, 2)
-        if not _NS3.contains(m, tol=1e-9):
-            raise ValueError("behavior violates the no-signaling polytope")
-        full = np.empty((2, 2, 2, 2, 2))
-        for mp in range(2):
-            full[:, mp] = m[:, mp, mp]
-        return cls("ns3-point", ConditionalDistribution3(np.clip(full, 0.0, None)))
+def ns3_distribution(mu) -> ConditionalDistribution3:
+    """General no-signaling cheating strategy mu[ma, b, bp, oa, za, zb]."""
+    m = np.asarray(mu, dtype=np.float64).reshape(2, 2, 2, 2, 2, 2)
+    if not NS3.contains(m, tol=1e-9):
+        raise ValueError("behavior violates the no-signaling polytope")
+    full = np.empty((2, 2, 2, 2, 2))
+    for mp in range(2):
+        full[:, mp] = m[:, mp, mp]
+    return ConditionalDistribution3(np.clip(full, 0.0, None))
 
 
 def sample_trials(sigma3: ConditionalDistribution3, nu, count: int, key: int,

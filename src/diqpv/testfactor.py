@@ -36,18 +36,9 @@ from .estimation import (
     ConditionalDistribution3,
     cell_probabilities,
 )
-from .polytopes import (
-    _common_denominator,
-    _dual_bound,
-    chsh_values,
-    lr_vertices,
-    max_linear,
-    max_shift_within,
-    ns3_polytope,
-)
-from .trialdata import settings_weights
-
-_NS3 = ns3_polytope()
+from . import polytopes
+from .polytopes import NS3, _common_denominator, _dual_bound, chsh_values, lr_vertices, max_linear
+from .trialdata import MATCHED_CODES, settings_weights
 
 # Fine (PRL 48, 291 (1982)): a no-signaling behavior here is local iff all
 # CHSH values are <= 2; an excess e is within sup-norm e/2 of the local hull.
@@ -105,7 +96,7 @@ class TestFactor:
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise CertificationError(f"certificate scale {self.scale!r} is not a positive number")
         p, q = float(self.scale).as_integer_ratio()
-        bound = _dual_bound([p * v for v in num], _NS3, self.duals, den * q)
+        bound = _dual_bound([p * v for v in num], NS3, self.duals, den * q)
         if bound > self.scale:
             raise CertificationError(f"certified bound {bound!r} / scale {self.scale!r} exceeds 1")
         object.__setattr__(self, "matched", m)
@@ -115,10 +106,9 @@ class TestFactor:
 
     def full_table(self) -> np.ndarray:
         """Factor over all 32 cells, axes (mqa, oqa, mqp, zqa, zqb)."""
-        out = np.full((2, 2, 2, 2, 2), self.mismatch, dtype=np.float64)
-        for z in range(2):
-            out[:, :, :, z, z] = self.matched[:, :, :, z].transpose(0, 2, 1)
-        return out
+        out = np.full(32, self.mismatch, dtype=np.float64)
+        out[MATCHED_CODES] = self.matched
+        return out.reshape(2, 2, 2, 2, 2)
 
     def global_min(self) -> float:
         return float(min(self.matched.min(), self.mismatch))
@@ -131,7 +121,7 @@ def certify(matched, mismatch: float, nu):
     bound is exact at its duals, at or just above the LP maximum.
     """
     num, den = _expected_factor_objective(matched, mismatch, settings_weights(nu))
-    bound, mu, duals = max_linear(num, _NS3, den)
+    bound, mu, duals = max_linear(num, NS3, den)
     return bound, mu.reshape(2, 2, 2, 2, 2, 2), duals
 
 
@@ -181,7 +171,7 @@ def certified_factor(matched, mismatch: float, nu, duals=None, meta=None) -> Tes
     if duals is None:
         duals = certify(matched, mismatch, nu)[2]
     num, den = _expected_factor_objective(matched, mismatch, nu)
-    bound = _dual_bound(num, _NS3, duals, den)
+    bound = _dual_bound(num, NS3, duals, den)
     if bound > 1.0 + ROUNDING_EXCESS:
         raise CertificationError(f"certified bound {bound!r} exceeds 1")
     if bound > 1.0:
@@ -257,23 +247,23 @@ def _pin_free_cells(table, support, rows, nu) -> np.ndarray:
 def lambda_max(table: np.ndarray, nu) -> tuple[float, np.ndarray]:
     """Largest mismatch constant lambda for a matched table, from one LP.
 
-    The expected factor is c0 + lambda c1 (c0 the matched part, c1 the
-    mismatch part), so the largest certifiable lambda is one shift search
-    (polytopes.max_shift_within).  The expectation is at least lambda
-    itself (an all-mismatch behavior is allowed), so no constant above 1
-    is certifiable and the search stops at 1.  Returns (lambda, the LP's
-    NS3 row duals, a certificate for certified_factor); raises
+    The expected factor is c0 + lambda c1 (c0 the matched part, c1 >= 0
+    the mismatch part), so the largest certifiable lambda is one shift
+    search (polytopes.linprog).  The expectation is at least lambda itself
+    (an all-mismatch behavior is allowed), so no constant above 1 is
+    certifiable and the search stops at 1.  Returns (lambda, the LP's NS3
+    row duals, a certificate for certified_factor); raises
     CertificationError when the matched table alone is not certifiable.
     """
     nu = settings_weights(nu)
     c0 = _float_objective(table, 0.0, nu)
     c1 = _float_objective(np.zeros((2, 2, 2, 2)), 1.0, nu)
-    found = max_shift_within(c0, c1, _NS3, bound=1.0, t_max=1.0)
+    found = polytopes.linprog(NS3, c0, c1, bound=1.0, t_max=1.0)
     if found is None:
         raise CertificationError(
             "matched factor alone is not certifiable; no valid mismatch constant"
         )
-    return found
+    return found[0], found[2]
 
 
 def wbar_min(tf: TestFactor) -> float:
@@ -310,7 +300,7 @@ def mix_with_unity(tf: TestFactor, lam_mix: float) -> TestFactor:
     mismatch = max(lam_mix * tf.mismatch + (1.0 - lam_mix), 0.0)
     # y1 gives each normalization row its block's unity objective (nu or 0).
     c1 = _float_objective(np.ones((2, 2, 2, 2)), 1.0, tf.nu)
-    unity = np.where(_NS3.b_eq == 1.0, (_NS3.a_eq * c1).max(axis=1), 0.0)
+    unity = np.where(NS3.b_eq == 1.0, (NS3.a_eq * c1).max(axis=1), 0.0)
     duals = lam_mix * tf.duals / tf.scale + (1.0 - lam_mix) * unity
     return certified_factor(matched, float(mismatch), tf.nu, duals, tf.meta)
 

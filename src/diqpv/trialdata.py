@@ -44,6 +44,11 @@ FIELD_NAMES = ("mqa", "oqa", "mqp", "zqa", "zqb")
 # Bit positions of (field - 1) inside a payload byte, record order, MSB first.
 _BITS = np.array([16, 8, 4, 2, 1], dtype=np.uint8)
 
+# The packed code of each matched cell [ma, mp, oa, z]: the record
+# (ma+1, oa+1, mp+1, z+1, z+1), whose two stations report the same z.
+MATCHED_CODES = np.ascontiguousarray(
+    np.arange(32).reshape(2, 2, 2, 2, 2)[:, :, :, [0, 1], [0, 1]].transpose(0, 2, 1, 3))
+
 # Code pairs per np.bincount call in aggregate_counts; bincount's intp copy
 # of one chunk is 512 KB.
 _PAIRS_PER_CHUNK = 1 << 16
@@ -181,11 +186,7 @@ class CountsTable:
     def matched(self) -> np.ndarray:
         """Counts on the zqa == zqb sector as N[ma, mp, oa, op] where
         op is the common prover outcome."""
-        t = self.table
-        out = np.empty((2, 2, 2, 2), dtype=np.int64)
-        for z in range(2):
-            out[:, :, :, z] = t[:, :, :, z, z].transpose(0, 2, 1)
-        return out
+        return self.table.reshape(32)[MATCHED_CODES]
 
 
 def aggregate_counts(codes, what: str = "packed code") -> CountsTable:

@@ -113,7 +113,7 @@ def test_c05_certification_under_perturbation(golden_counts, golden_factor, nu_u
 
 
 def test_c06_adversarial_pass_rate(golden_factor, golden_sigma3, nu_uniform):
-    from diqpv.simulator import AdversaryModel
+    from diqpv.simulator import lr_vertex_distribution
 
     start = time.perf_counter()
     delta, instances = 2.0 ** -10, 10_000
@@ -125,7 +125,7 @@ def test_c06_adversarial_pass_rate(golden_factor, golden_sigma3, nu_uniform):
     rng = np.random.Generator(np.random.Philox(key=2306))
     worst_passes = 0
     for vertex in (0, 3, 5, 10, 15):
-        sigma3 = AdversaryModel.lr_vertex(vertex).behavior
+        sigma3 = lr_vertex_distribution(vertex)
         p = cell_probabilities(sigma3, nu_uniform).ravel()
         counts = rng.multinomial(n, p / p.sum(), size=instances)
         passes = int(((counts @ logw) >= threshold).sum())

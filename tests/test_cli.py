@@ -33,15 +33,20 @@ from golden import (
     behavior_array,
     factor_array,
 )
+from helpers import pr_box
 from helpers import testfactor_from_json as factor_from_json
 from oracles import measure_unblocked
 import diqpv
 import diqpv.polytopes
 from diqpv import __version__, protocol
-from diqpv.cli import PLAN_EPSILONS, build_parser, main
+from diqpv.cli import PLAN_EPSILONS, _write_json, build_parser, main
+from diqpv.estimation import ConditionalDistribution2, ConditionalDistribution3, regularize
 from diqpv.geometry import SPEED_OF_LIGHT_M_PER_NS
+from diqpv.polytopes import lr_vertices
+from diqpv.simulator import HonestProverModel, honest_distribution, sample_trials, stream_key
 from diqpv.trialdata import (
     CountsTable,
+    JointSettingsDistribution,
     export_counts_csv,
     read_trial_codes,
     read_trial_header,
@@ -327,6 +332,93 @@ def test_simulate_rejects_run_shape_before_writing(tmp_path, capsys, flags, mess
     assert main(["simulate", "--out", str(out), "--trials-per-file", "100"] + flags) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+_SKEWED = [[0.55, 0.05], [0.3, 0.1]]
+_DYADIC = [0.5, 0, 0, 0.25, 0, 0, 0, 0, 0.125, 0, 0, 0, 0, 0, 0.0625, 0.0625]
+
+
+def _pr_shared_with_verifier():
+    """A PR box between the verifier and the first station, mu[ma, b, bp, oa, za, zb]."""
+    return np.broadcast_to(0.5 * pr_box()[:, :, None, :, :, None], (2,) * 6).copy()
+
+
+def _lr_behavior(sigma2):
+    return regularize(ConditionalDistribution2(sigma2), 0.0)
+
+
+def _ns3_behavior(mu):
+    return ConditionalDistribution3(np.stack([mu[:, mp, mp] for mp in range(2)], axis=1))
+
+
+# (--model, config, the behavior built directly, settings weights or None for uniform)
+_SIMULATE_CONFIGS = {
+    "lr-shortcut-skewed": ("lr:5", {"settings_weights": _SKEWED},
+                           lambda: _lr_behavior(lr_vertices()[5]), _SKEWED),
+    "lr-mixture-skewed": ("config", {"model": {"kind": "lr_mixture", "weights": _DYADIC},
+                                     "settings_weights": _SKEWED},
+                          lambda: _lr_behavior(np.tensordot(_DYADIC, lr_vertices(), axes=1)),
+                          _SKEWED),
+    "ns3": ("config", {"model": {"kind": "ns3", "mu": _pr_shared_with_verifier().tolist()}},
+            lambda: _ns3_behavior(_pr_shared_with_verifier()), None),
+    "honest-skewed": ("config", {"model": {"kind": "honest"}, "settings_weights": _SKEWED},
+                      lambda: honest_distribution(HonestProverModel()), _SKEWED),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SIMULATE_CONFIGS))
+def test_simulate_config_files_match_direct_sampling(tmp_path, case):
+    model, config, behavior, weights = _SIMULATE_CONFIGS[case]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--files", "2", "--trials-per-file", "5000",
+                 "--seed", "11", "--model", model, "--config", str(cfg)]) == 0
+    nu = (JointSettingsDistribution.uniform() if weights is None
+          else JointSettingsDistribution(np.array(weights)))
+    for i in range(2):
+        codes, _ = read_trial_codes(out / f"trials-{i:04d}.qpvt")
+        assert np.array_equal(codes, sample_trials(behavior(), nu, 5000, stream_key(11, i)))
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("simulate", {"model": {"kind": "honest", "angles_a_deg": [math.nan, 29.26]}},
+     "honest model key 'angles_a_deg' must be finite, got [nan, 29.26]"),
+    ("simulate", {"model": {"kind": "honest", "eta_a": math.inf}},
+     "honest model key 'eta_a' must be finite, got inf"),
+    ("simulate", {"model": {"kind": "lr_mixture", "weights": [math.nan] * 16}},
+     "probabilities must be finite and nonnegative"),
+    ("simulate", {"model": {"kind": "ns3", "mu": [math.nan] * 64}},
+     "behavior violates the no-signaling polytope"),
+    ("simulate", {"model": {"kind": "honest"}, "setting_weights": _SKEWED},
+     "unknown config keys ['setting_weights']; expected ['model', 'settings_weights']"),
+    ("geometry", {**REFERENCE_TIMING, "d_sep_m": math.nan},
+     "timing key 'd_sep_m' must be finite, got nan"),
+    ("geometry", {**REFERENCE_TIMING, "r_vb_sigma_ns": -math.inf},
+     "timing key 'r_vb_sigma_ns' must be finite, got -inf"),
+], ids=["honest-nan-angle", "honest-inf-efficiency", "lr-mixture-nan", "ns3-nan",
+        "unknown-top-level-key", "geometry-nan-separation", "geometry-inf-sigma"])
+def test_config_rejected_before_writing(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))  # json writes nan and inf as NaN and Infinity
+    out = tmp_path / "out"
+    flags = ["--files", "1", "--trials-per-file", "100"] if command == "simulate" else [
+        "--dim", "1", "--mc-outer", "10"]
+    assert main([command, "--out", str(out), "--config", str(cfg)] + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_write_json_leaves_no_trace_when_serializing_fails(tmp_path):
+    old = tmp_path / "report.json"
+    old.write_text("kept\n")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _write_json(old, {"ok": 1.0, "bad": [math.nan]})
+    assert old.read_text() == "kept\n"
+    new = tmp_path / "new.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _write_json(new, {"bad": math.inf})
+    assert not new.exists()
 
 
 def test_simulate_lr_shortcut_matches_config(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,18 @@ def test_behavior_validation():
         ConditionalDistribution2(signaling)
     fit = ml_fit_quantum(reference_counts_table())
     assert fit.table[1, 0, 1, 0] == fit.table[1, 0, 1, 0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_behaviors_reject_non_finite_tables(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ConditionalDistribution2(np.full((2, 2, 2, 2), bad))
+    with pytest.raises(ValueError):
+        ConditionalDistribution3(np.full((2, 2, 2, 2, 2), bad))
+    one = regularize(ConditionalDistribution2(np.full((2, 2, 2, 2), 0.25)), 0.0).table.copy()
+    one[1, 0, 1, 0, 0] = bad
+    with pytest.raises(ValueError):
+        ConditionalDistribution3(one)
 
 
 def test_regularize_identity_and_mass(golden_fit):

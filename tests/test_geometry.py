@@ -79,6 +79,14 @@ def test_timing_validation():
         )
 
 
+@pytest.mark.parametrize("field", ["s_vap_ns", "r_vb_ns", "d_sep_m", "d_sep_sigma_m"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_timing_rejects_non_finite_values(field, bad):
+    values = dict(s_vap_ns=0.0, s_vb_ns=0.0, r_vap_ns=5.0, r_vb_ns=5.0, d_sep_m=10.0)
+    with pytest.raises(ValueError, match="finite"):
+        TimingGeometry(**{**values, field: bad})
+
+
 def test_zero_round_trip_collapses_region():
     tg0 = TimingGeometry(
         s_vap_ns=1000.0, s_vb_ns=1000.0, r_vap_ns=1000.0, r_vb_ns=2000.0, d_sep_m=50.0

@@ -15,9 +15,9 @@ from diqpv.polytopes import (
     TSIRELSON,
     HPolytope,
     chsh_values,
+    linprog,
     lr_vertices,
     max_linear,
-    max_shift_within,
     ns3_polytope,
     quantum_set,
 )
@@ -58,6 +58,15 @@ def test_uniform_points_feasible():
     uniform2 = np.full((2, 2, 2, 2), 0.25)
     assert ns_polytope2().contains(uniform2)
     assert quantum_set().contains(uniform2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_contains_rejects_non_finite_points(bad):
+    assert not quantum_set().contains(np.full(16, bad))
+    assert not ns3_polytope().contains(np.full(64, bad))
+    point = uniform_ns3().reshape(64)
+    point[5] = bad
+    assert not diqpv.polytopes.NS3.contains(point)
 
 
 def test_signaling_behavior_rejected():
@@ -369,19 +378,19 @@ def test_simplex_adds_box_rows_no_normalization_row_implies():
     assert _dual_bound([2.0, 1.0], line, duals) == 2.0
 
 
-def test_max_shift_within_on_a_square():
+def test_linprog_shift_on_a_square():
     # f(t) = max x1 + t x2 over the cut square is 1 + t / 2 up to t = 1,
     # then 1 / 2 + t.
     cut = _square([], [], [[1.0, 1.0]], [1.5])
-    t, duals = max_shift_within([1.0, 0.0], [0.0, 1.0], cut, bound=1.25, t_max=10.0)
+    c0, c1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    t, x, duals = linprog(cut, c0, c1, bound=1.25, t_max=10.0)
     assert t == 0.5 and _dual_bound([1.0, 0.5], cut, duals) == 1.25
-    # Admissible at the start t = 1: then t_max, or Newton steps down from it.
-    assert max_shift_within([1.0, 0.0], [0.0, 1.0], cut, bound=100.0, t_max=3.0)[0] == 3.0
-    t, duals = max_shift_within([1.0, 0.0], [0.0, 1.0], cut, bound=2.0, t_max=3.0)
+    assert (c0 + t * c1) @ x == 1.25
+    # Admissible at the start t = t_max, or Newton steps down from it.
+    assert linprog(cut, c0, c1, bound=100.0, t_max=3.0)[0] == 3.0
+    t, _, duals = linprog(cut, c0, c1, bound=2.0, t_max=3.0)
     assert t == 1.5 and _dual_bound([1.0, 1.5], cut, duals) == 2.0
-    assert max_shift_within([1.0, 0.0], [0.0, 1.0], cut, bound=0.5, t_max=3.0) is None
-    with pytest.raises(ValueError, match="nonnegative"):
-        max_shift_within([1.0, 0.0], [0.0, -1.0], cut, bound=1.0, t_max=1.0)
+    assert linprog(cut, c0, c1, bound=0.5, t_max=3.0) is None
 
 
 def test_simplex_raises_past_its_pivot_cap(monkeypatch):

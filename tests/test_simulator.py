@@ -17,10 +17,12 @@ from diqpv.polytopes import lr_vertices
 from diqpv.simulator import (
     DEFAULT_AMP_A,
     DEFAULT_AMP_B,
-    AdversaryModel,
     HonestProverModel,
     honest_distribution,
     honest_matched,
+    lr_mixture_distribution,
+    lr_vertex_distribution,
+    ns3_distribution,
     sample_trials,
     stream_key,
 )
@@ -101,30 +103,27 @@ def test_honest_behavior_is_nonlocal():
 
 
 def test_adversary_constructors():
-    vtx = AdversaryModel.lr_vertex(5)
-    assert vtx.kind == "lr-vertex-5"
-    table = vtx.behavior.table
+    table = lr_vertex_distribution(5).table
     # Both stations echo the deterministic prover outcome.
     assert (table[:, :, :, 0, 1] == 0).all() and (table[:, :, :, 1, 0] == 0).all()
     matched = np.stack([table[:, :, :, z, z] for z in range(2)], axis=-1)
     assert np.array_equal(matched, lr_vertices()[5])
     with pytest.raises(ValueError):
-        AdversaryModel.lr_vertex(16)
+        lr_vertex_distribution(16)
 
     w = np.zeros(16)
     w[3] = 0.25
     w[8] = 0.75
-    mix = AdversaryModel.lr_mixture(w)
     expect = 0.25 * lr_vertices()[3] + 0.75 * lr_vertices()[8]
-    table = mix.behavior.table
+    table = lr_mixture_distribution(w).table
     matched = np.stack([table[:, :, :, z, z] for z in range(2)], axis=-1)
     assert np.abs(matched - expect).max() <= 1e-15
     with pytest.raises(ValueError):
-        AdversaryModel.lr_mixture(np.ones(16))
+        lr_mixture_distribution(np.ones(16))
 
 
 def test_ns3_point_validation():
-    assert AdversaryModel.ns3_point(uniform_ns3()).kind == "ns3-point"
+    assert isinstance(ns3_distribution(uniform_ns3()), ConditionalDistribution3)
     # A PR pair shared with the verifier is no-signaling and accepted.
     mu = np.zeros((2, 2, 2, 2, 2, 2))
     box = pr_box()
@@ -134,13 +133,13 @@ def test_ns3_point_validation():
                 for oa in range(2):
                     for za in range(2):
                         mu[ma, b, bp, oa, za, :] = box[ma, b, oa, za] * 0.5
-    AdversaryModel.ns3_point(mu)
+    ns3_distribution(mu)
     # Station output tracking the hidden verifier setting is signaling.
     bad = np.zeros((2, 2, 2, 2, 2, 2))
     bad[0, :, :, 0, 0, 0] = 1.0
     bad[1, :, :, 0, 0, 1] = 1.0
     with pytest.raises(ValueError):
-        AdversaryModel.ns3_point(bad)
+        ns3_distribution(bad)
 
 
 def test_sampler_chi_square(nu_uniform):
@@ -157,7 +156,7 @@ def test_sampler_chi_square(nu_uniform):
 
 
 def test_sampler_point_mass_and_empty(nu_uniform):
-    sigma3 = AdversaryModel.lr_vertex(0).behavior
+    sigma3 = lr_vertex_distribution(0)
     point = np.array([[1.0, 0.0], [0.0, 0.0]])
     codes = sample_trials(sigma3, point, 100, key=1)
     assert codes.shape == (100,)
@@ -213,7 +212,7 @@ _PINNED_DIGESTS = {
 def test_sampler_pinned_digests(case, count):
     j, behavior, nu = _PINNED_CASES[case]
     sigma3 = (honest_distribution(HonestProverModel()) if behavior == "honest"
-              else AdversaryModel.lr_vertex(5).behavior)
+              else lr_vertex_distribution(5))
     if nu is None:
         nu = JointSettingsDistribution.uniform()
     codes = sample_trials(sigma3, nu, count, stream_key(18, j))
@@ -243,7 +242,7 @@ def test_sampler_matches_float_inverse_cdf_oracle(mixture_seed, nu_ints, count, 
         weights[rng.random(16) < 0.3] = 0.0  # zero-weight vertices
         if not weights.any():
             weights[0] = 1.0
-        sigma3 = AdversaryModel.lr_mixture(weights / weights.sum()).behavior
+        sigma3 = lr_mixture_distribution(weights / weights.sum())
     nu = np.asarray(nu_ints, dtype=np.float64).reshape(2, 2) / sum(nu_ints)
     # Up to four threads on any host, so pool threads' chunks meet the
     # oracle too (hypothesis admits no function-scoped fixture here).
@@ -322,7 +321,7 @@ def four_cpus(monkeypatch):
 def test_sampler_is_worker_invariant(nu_uniform, four_cpus, case, count):
     # Every worker count cuts [0, count) at different Philox counter steps.
     sigma3, nu = ((_HONEST, nu_uniform) if case == "honest"
-                  else (AdversaryModel.lr_vertex(6).behavior, _SKEWED_NU))
+                  else (lr_vertex_distribution(6), _SKEWED_NU))
     key = stream_key(23, count)
     serial = sample_trials(sigma3, nu, count, key, workers=1)
     assert serial.shape == (count,)
@@ -407,8 +406,7 @@ def test_certified_factor_bounds_sampled_adversary(golden_factor, nu_uniform):
     """A certified factor stays fair on trials sampled from any allowed
     strategy, here the worst-case one."""
     _, mu, _ = certify(golden_factor.matched, golden_factor.mismatch, golden_factor.nu)
-    adv = AdversaryModel.ns3_point(np.clip(mu, 0.0, None))
-    sigma3 = adv.behavior
+    sigma3 = ns3_distribution(np.clip(mu, 0.0, None))
     n = 1_000_000
     codes = sample_trials(sigma3, nu_uniform, n, key=stream_key(13, 0))
     counts = aggregate_counts(codes).table.reshape(32)

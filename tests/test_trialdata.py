@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from diqpv import trialdata
 from diqpv.protocol import FileTrialSource, ProtocolParams
 from diqpv.trialdata import (
     FIELD_NAMES,
+    MATCHED_CODES,
     JointSettingsDistribution,
     aggregate_counts,
     export_counts_csv,
@@ -29,6 +31,13 @@ from helpers import run_instance
 records_strategy = st.lists(
     st.tuples(*[st.integers(1, 2) for _ in range(5)]), max_size=200
 )
+
+
+def test_matched_codes_pack_the_matched_records():
+    assert MATCHED_CODES.shape == (2, 2, 2, 2)
+    for ma, mp, oa, z in product(range(2), repeat=4):
+        record = (ma + 1, oa + 1, mp + 1, z + 1, z + 1)
+        assert MATCHED_CODES[ma, mp, oa, z] == pack_records([record])[0]
 
 
 def test_packing_literals():
